@@ -370,6 +370,13 @@ def _profile_json(profile) -> list:
     return [_play_json(profile[0]), _play_json(profile[1])]
 
 
+def _print_rate_warning(game: GameConfig, config: LearnerConfig) -> None:
+    """Report on stderr when the pure-play rule's rate is too low for the grid."""
+    warning = config.rate_warning_for(game)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     res = Resolver("run", args)
     rounds = res.get_int("rounds", minimum=1)
@@ -402,6 +409,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         anchor=Strategy(alpha_r, grid), initial=Strategy(wr, grid),
         horizon=horizon,
     )
+    _print_rate_warning(game, proposer)
     record = self_play(game, proposer, responder)
 
     manifest = RunManifest(
@@ -571,7 +579,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_writable(args.agg_out)
     _check_writable(args.svg)
     _check_writable(args.manifest)
-    _wrap_value_error(GameConfig, rounds=rounds, grid=grid, delta=delta)
+    game = _wrap_value_error(GameConfig, rounds=rounds, grid=grid, delta=delta)
+    anchor_p = Strategy(alpha_p, grid)
+    _print_rate_warning(game, _wrap_value_error(
+        LearnerConfig, owner="P", reg=reg, rate=rate, anchor=anchor_p,
+        initial=anchor_p, horizon=horizon,
+    ))
 
     cells = [(p, r) for p in cells_p for r in cells_r]
     payload_base = (rounds, grid, delta, rate, reg, horizon, alpha_p, alpha_r)

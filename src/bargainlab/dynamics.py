@@ -4,8 +4,9 @@ Two learners (first mover "P", second mover "R") repeatedly play the grid
 bargaining game, each updating with the anchor-regularized leader rule on the
 full counterfactual feedback of the round.  This module provides:
 
-* exact replay of those dynamics, both one pair at a time and vectorized over
-  batches of initial conditions (identical arithmetic to the stepwise path);
+* replay of those dynamics, one pair at a time with the stepwise learners,
+  and for batches of initial conditions with an event-driven engine that
+  jumps from one strategy switch to the next in closed form;
 * convergence detection: the smallest time from which the joint profile is
   constant through the horizon *and* is a pure equilibrium;
 * a closed-form predictor for the one-round game, computed in exact rational
@@ -80,6 +81,12 @@ class BatchResult:
         return self.converged_at >= 0
 
 
+#: Byte budget of one (cells x strategies) float64 array in the event engine.
+#: The block of cells played together is derived from it, so the engine's
+#: working memory does not grow with the batch.
+_BLOCK_BYTES = 1 << 19
+
+
 def batch_self_play(
     game: GameConfig,
     rate: float,
@@ -93,9 +100,22 @@ def batch_self_play(
     """Run pure-play (reg=1) self-play for many initial conditions at once.
 
     All four strategy arguments are arrays of flat strategy indices with a
-    common length B.  The update arithmetic is performed in the same order as
-    the stepwise learner, so results are identical to running
-    :func:`self_play` B times with reg=1 on both sides.
+    common length B.  The selection rule is the stepwise learner's: the
+    largest index whose handicapped cumulative utility is within
+    ``tie_tol`` of the maximum.
+
+    The engine is event-driven.  While both plays stay fixed, every
+    objective grows along a straight line, so the first step at which
+    either learner's selection can leave its current play is a closed-form
+    minimum over the N strategies (floor/ceil with the ``tie_tol`` margin,
+    so exact ties landing on a step resolve as the stepwise rule resolves
+    them).  Each cell jumps to that step in one move and selects again.
+    A jump never passes a step at which the rule would switch; it may stop
+    short, which costs one more event that re-selects the same play.  Cost
+    per cell is O((switches + 1) * N), independent of the horizon.  The
+    cumulative sums are formed as ``count * feedback`` rather than one
+    addition per step, so they match the stepwise learner up to float
+    rounding, far inside ``tie_tol``.
     """
     iP = np.asarray(initial_P, dtype=np.int64)
     iR = np.asarray(initial_R, dtype=np.int64)
@@ -113,36 +133,111 @@ def batch_self_play(
         raise ValueError("rate must be positive")
 
     B = iP.shape[0]
-    T = horizon
     U_P, U_R = payoff_matrices(game)
-    U_P_by_resp = np.ascontiguousarray(U_P.T)  # row j = feedback of P vs R=j
-    rows = np.arange(B)
-    idx = np.arange(n)
-    pen = 2.0 / rate
-
-    cum_P = np.zeros((B, n))
-    cum_R = np.zeros((B, n))
-    cur_P = iP.copy()
-    cur_R = iR.copy()
-    profiles = np.empty((B, T, 2), dtype=np.int32)
-
-    for t in range(T):
-        profiles[:, t, 0] = cur_P
-        profiles[:, t, 1] = cur_R
-        cum_P += U_P_by_resp[cur_R]
-        cum_R += U_R[cur_P]
-        if t == T - 1:
-            break
-        obj_P = cum_P - pen
-        obj_P[rows, aP] += pen
-        ties = obj_P >= obj_P.max(axis=1, keepdims=True) - tie_tol
-        cur_P = np.where(ties, idx, -1).max(axis=1)
-        obj_R = cum_R - pen
-        obj_R[rows, aR] += pen
-        ties = obj_R >= obj_R.max(axis=1, keepdims=True) - tie_tol
-        cur_R = np.where(ties, idx, -1).max(axis=1)
-
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    profiles = np.empty((B, horizon, 2), dtype=np.int32)
+    for lo in range(0, B, block):
+        part = slice(lo, lo + block)
+        profiles[part] = _play_block(
+            U_P, U_R, 2.0 / rate, horizon, tie_tol,
+            iP[part], iR[part], aP[part], aR[part],
+        )
     return _detect_batch(game, profiles, tie_tol)
+
+
+def _play_block(
+    U_P: np.ndarray,
+    U_R: np.ndarray,
+    pen: float,
+    T: int,
+    tol: float,
+    cur_P: np.ndarray,
+    cur_R: np.ndarray,
+    anc_P: np.ndarray,
+    anc_R: np.ndarray,
+) -> np.ndarray:
+    """Dense (cells, T, 2) profiles of one block, played event by event.
+
+    An event is a round at which a cell's joint play is (re)selected; it is
+    logged as (cell, start round, P, R) and expanded once at the end.
+    """
+    m, n = cur_P.size, U_P.shape[0]
+    cells = np.arange(m)
+    t = np.zeros(m, dtype=np.int64)
+    cum_P = np.zeros((m, n))
+    cum_R = np.zeros((m, n))
+    log = [(cells, t, cur_P, cur_R)]
+    while cells.size:
+        # the round at t is played: both learners observe it
+        fb_P = U_P.T[cur_R]
+        fb_R = U_R[cur_P]
+        cum_P += fb_P
+        cum_R += fb_R
+        left = T - 1 - t
+        jump = np.minimum(
+            np.minimum(
+                _leave_offset(_handicapped(cum_P, anc_P, pen), fb_P, cur_P, tol),
+                _leave_offset(_handicapped(cum_R, anc_R, pen), fb_R, cur_R, tol),
+            ),
+            left,
+        ).astype(np.int64)
+        go = jump < left
+        cells, t, jump = cells[go], t[go], jump[go]
+        anc_P, anc_R = anc_P[go], anc_R[go]
+        # the same plays repeat for `jump` more rounds, then both select
+        cum_P = cum_P[go] + jump[:, None] * fb_P[go]
+        cum_R = cum_R[go] + jump[:, None] * fb_R[go]
+        t = t + jump + 1
+        cur_P = _select(_handicapped(cum_P, anc_P, pen), tol)
+        cur_R = _select(_handicapped(cum_R, anc_R, pen), tol)
+        log.append((cells, t, cur_P, cur_R))
+
+    cell, start, play_P, play_R = (np.concatenate(col) for col in zip(*log))
+    order = np.lexsort((start, cell))
+    cell, start = cell[order], start[order]
+    end = np.append(start[1:], T)
+    end[np.flatnonzero(cell[1:] != cell[:-1])] = T
+    plays = np.stack([play_P[order], play_R[order]], axis=1).astype(np.int32)
+    return np.repeat(plays, end - start, axis=0).reshape(m, T, 2)
+
+
+def _handicapped(cum: np.ndarray, anchor: np.ndarray, pen: float) -> np.ndarray:
+    """Cumulative utility minus the 2/rate handicap of every non-anchor play."""
+    obj = cum - pen
+    obj[np.arange(anchor.size), anchor] += pen
+    return obj
+
+
+def _select(obj: np.ndarray, tol: float) -> np.ndarray:
+    """Per row, the largest index within ``tol`` of the row maximum."""
+    ties = obj >= obj.max(axis=1, keepdims=True) - tol
+    return obj.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
+
+
+def _leave_offset(
+    obj: np.ndarray, fb: np.ndarray, cur: np.ndarray, tol: float
+) -> np.ndarray:
+    """Smallest x >= 0 at which ``obj + x * fb`` may stop selecting ``cur``.
+
+    Per row, ``cur`` stays selected while it leads every larger index by
+    more than ``tol`` and trails no smaller index by more than ``tol``;
+    these pairwise conditions imply the selection rule, so the offset
+    returned is never later than the rule's first switch.  np.inf when no
+    strategy ever catches up.
+    """
+    rows = np.arange(cur.size)
+    lead = obj[rows, cur][:, None] - obj
+    gain = fb - fb[rows, cur][:, None]  # per-round erosion of that lead
+    above = np.arange(obj.shape[1]) > cur[:, None]
+    # an index above takes over once lead - x*gain <= tol, one below once
+    # lead - x*gain < -tol
+    margin = lead - np.where(above, tol, -tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = margin / gain
+    x = np.where(above, np.ceil(q), np.floor(q) + 1.0)
+    x = np.where(gain > 0, x, np.inf)
+    x[(margin < 0) | (above & (margin == 0))] = 0.0
+    return x.min(axis=1)
 
 
 def _detect_batch(
@@ -274,7 +369,7 @@ def self_play(
 
     Each step both agents observe the opponent's play of that step and update
     simultaneously.  Both configs must agree on the horizon.  Pure-play pairs
-    (reg=1 on both sides with one shared rate) go through the vectorized
+    (reg=1 on both sides with one shared rate) go through the event-driven
     batch engine; any other combination runs the stepwise learners directly.
     Either way the recorded profiles are what each learner actually played.
     """

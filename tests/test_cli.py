@@ -6,6 +6,7 @@ checks exit codes, emitted files, and determinism.  Exit-code contract:
 """
 
 import csv
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -304,6 +305,48 @@ class TestSweepCommand:
         )
         assert rc in (0, 3)
         assert len(read_csv(out)) == 1 + 2
+
+
+class TestRateWarning:
+    """reg=1 with rate <= 2*grid warns on stderr; the outputs do not change.
+
+    The digests are of the files these commands wrote before the warning
+    existed.
+    """
+
+    RUN = [
+        "run", "--rounds", "2", "--delta", "0.9", "--grid", "16",
+        "--rate", "20", "--reg", "1", "--horizon", "300",
+        "--wp", "0.5,0.5", "--alpha-p", "0.125,0.375",
+        "--wr", "0.0625,1.0", "--alpha-r", "0.5625,0.875",
+    ]
+    SWEEP = [
+        "sweep", "--rounds", "2", "--delta", "0.9", "--grid", "16",
+        "--rate", "20", "--reg", "1", "--horizon", "40",
+        "--alpha-p", "0.125,0.375", "--alpha-r", "0.375,0.875",
+        "--wp-values", "0.125,0.875", "--wr", "0.0625,1.0",
+    ]
+    DIGESTS = {
+        "run": "602cf6735a5debbc538e9575fd29aad983b6babaa34dc65c2ba4aa796d4c1884",
+        "sweep": "b30ab87ff31fd428d53a322aa9957a5d9122ec2cb0ea014d52864a14a48b1afa",
+    }
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_low_rate_warns_and_keeps_bytes(self, tmp_path, capsys, command):
+        argv = self.RUN if command == "run" else self.SWEEP
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: rate 20.0 <= 2 * grid 16" in err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", *EXAMPLE_RUN_A],
+        [*SWEEP_BASE, "--wp", "0.125,0.875", "--wr", "0.0625,1.0"],
+    ])
+    def test_rate_above_twice_grid_is_silent(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestSpeRegionCommand:

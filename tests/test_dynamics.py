@@ -6,10 +6,14 @@ covers every interior one-round initial condition on the D=8 grid.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bargainlab import dynamics
 from bargainlab.dynamics import (
     AdversarySchedule,
     BatchResult,
@@ -23,6 +27,7 @@ from bargainlab.dynamics import (
     make_adversary,
     self_play,
     theorem5_preconditions,
+    _joint_payoffs,
     _self_play_stepwise,
 )
 from bargainlab.ftrl import LearnerConfig, MixedStrategy, make_learner, step
@@ -404,6 +409,100 @@ class TestBatchEngine:
                 assert batch.converged_at[0] == -1
             else:
                 assert batch.converged_at[0] == det[0]
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_property_matches_stepwise_learners(self, data):
+        """Event engine == reg=1 ftrl learners on random small games.
+
+        delta is a multiple of 1/100 and the rate an integer, so every
+        nonzero objective gap is far above the tie tolerance and the oracle's
+        tie decisions never hinge on rounding.  Rates at or below 2*D make
+        the anchor handicap equal whole grid utility gaps (tie-heavy play).
+        The block size is patched down so batches span several blocks.
+        """
+        rounds = data.draw(st.integers(1, 3), label="rounds")
+        grid = data.draw(st.integers(2, 6), label="grid")
+        delta = data.draw(st.integers(1, 100), label="delta_pct") / 100
+        game = GameConfig(rounds=rounds, grid=grid, delta=delta)
+        n = game.strategy_count
+        rate = float(data.draw(
+            st.one_of(
+                st.integers(2 * grid + 1, 1000),
+                st.integers(1, 2 * grid),
+                st.just(grid),
+            ),
+            label="rate",
+        ))
+        horizon = data.draw(st.integers(1, 80), label="horizon")
+        cells = data.draw(st.integers(2, 40), label="cells")
+        index = st.lists(st.integers(0, n - 1), min_size=cells, max_size=cells)
+        iP, iR, aP, aR = (
+            np.array(data.draw(index, label=name))
+            for name in ("initial_P", "initial_R", "anchor_P", "anchor_R")
+        )
+        block = data.draw(st.integers(1, cells), label="block")
+
+        with mock.patch.object(dynamics, "_BLOCK_BYTES", 8 * n * block):
+            res = batch_self_play(game, rate, horizon, iP, iR, aP, aR)
+
+        def learner(owner, initial, anchor):
+            return LearnerConfig(
+                owner=owner, reg=1, rate=rate, horizon=horizon,
+                initial=strategy_from_index(game, int(initial)),
+                anchor=strategy_from_index(game, int(anchor)),
+            )
+
+        for b in range(cells):
+            plays = _self_play_stepwise(
+                game, learner("P", iP[b], aP[b]), learner("R", iR[b], aR[b])
+            )
+            want = [(strategy_index(game, p), strategy_index(game, r)) for p, r in plays]
+            assert res.profiles[b].tolist() == [list(pr) for pr in want], b
+            det = detect_convergence(game, plays)
+            if det is None:
+                assert res.converged_at[b] == -1
+                assert np.isnan(res.ne_value[b]) and res.ne_round[b] == 0
+            else:
+                t_conv, profile, value = det
+                out = play(game, *profile)
+                assert res.converged_at[b] == t_conv
+                assert res.ne_round[b] == (out.agreement_round or 0)
+                if value is None:
+                    assert np.isnan(res.ne_value[b])
+                else:
+                    assert res.ne_value[b] == value
+            assert (res.payoff_P[b], res.payoff_R[b]) == _joint_payoffs(game, *plays[-1])
+
+    def test_long_dwell_settles_at_predicted_time(self):
+        """One-round C2 dwells of 501 to 1001 steps, at horizons in the thousands.
+
+        p_max - p_min = 1/1000, so the first mover's switch step lands near
+        (1 - p_min) * 1000.  With alpha_p at neither share the exact
+        switching threshold is an integer (901, 1000 and 501), a tie that
+        lands on a step.
+        """
+        D = 1000
+        game = GameConfig(rounds=1, grid=D, delta=0.9)
+        cases = [
+            (wp, wr, ap, ar)
+            for wp, wr, ar in ((100, 101, 500), (2, 1, 999), (500, 501, 900))
+            for ap in (min(wp, wr), max(wp, wr), 300)
+        ]
+        for rate in (2001.0, 2500.0, 100000.0):
+            predicted = [
+                classify_g1(game, *(Fraction(e, D) for e in case), rate)
+                for case in cases
+            ]
+            assert {c.case for c in predicted} == {"C2"}
+            assert max(c.predicted_t_prime for c in predicted) > 1000
+            for horizon in (2000, 5000):
+                res = batch_self_play(
+                    game, rate, horizon, *(np.array(col) for col in zip(*cases))
+                )
+                for b, c in enumerate(predicted):
+                    assert res.converged_at[b] == c.predicted_t_prime, cases[b]
+                    assert res.ne_value[b] == float(c.predicted_value), cases[b]
 
     def test_final_payoffs_reported_even_without_convergence(self):
         res = batch_self_play(
