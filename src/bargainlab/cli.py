@@ -13,7 +13,8 @@ verify-spe  certificate construction + stationarity + one-shot deviation
 
 Settings come from flags, from a flat ``key=value`` config file, or from a
 previously emitted run-manifest JSON (``--config`` accepts either form);
-flags always win.  Exit codes: 0 success, 2 invalid input, 3 completed
+flags always win.  Every option, with its default and bounds, is declared
+once, in ``OPTIONS``.  Exit codes: 0 success, 2 invalid input, 3 completed
 without convergence.  No output file is written when validation fails.
 """
 
@@ -25,39 +26,20 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    batch_self_play,
-    external_regret,
-    make_adversary,
-    self_play,
-    _grid_utilities_vs_value_play,
-)
-from .ftrl import (
-    LearnerConfig,
-    MixedStrategy,
-    Strategy,
-    l1_update,
-    l2_update,
-    make_learner,
-    step,
-)
-from .game import GameConfig, strategy_index
-from .reports import RunManifest, heatmap_svg, write_csv, write_json
+from .dynamics import batch_self_play, external_regret, make_adversary, self_play
+from .ftrl import LearnerConfig, MixedStrategy, Strategy, make_learner, step
+from .game import GameConfig, snap_share, strategy_index
+from .reports import RunManifest, heatmap_svg, write_csv, write_json, write_text
 from .spe import (
-    MarketParams,
-    PayoffTarget,
-    construct_certificate,
-    expected_match_payoffs,
-    feasibility_violations,
-    one_shot_deviation_scan,
-    payoff_gaps,
-    prop2_check,
+    MarketParams, PayoffTarget, construct_certificate, expected_match_payoffs,
+    feasibility_violations, one_shot_deviation_scan, payoff_gaps, prop2_check,
     theorem1_feasible,
 )
 
@@ -73,41 +55,96 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration resolution: defaults < config file < flags
+# options: one declarative table per subcommand
 # ---------------------------------------------------------------------------
 
-COMMAND_KEYS: Dict[str, Tuple[str, ...]] = {
+@dataclass(frozen=True)
+class Opt:
+    """One ``--key`` flag of a subcommand and, unless it is a path, its
+    config-file key.  ``kind``: int, float, bool, choice, str, ints and
+    shares (comma-separated integers / values in [0, 1]), strategy (one grid
+    value per round), levels (grid values) or path (an output file).
+    ``low``/``high`` bound numbers; ``choices`` lists what a choice, or the
+    ``reg`` int, accepts.  A setting with no default is required unless
+    ``optional``: then it is parsed, and recorded in the manifest, only when
+    given.  ``env`` names an environment variable that replaces the default.
+    """
+
+    key: str
+    kind: str
+    default: Optional[str] = None
+    low: Optional[float] = None
+    high: Optional[float] = None
+    choices: Tuple = ()
+    optional: bool = False
+    env: Optional[str] = None
+    help: Optional[str] = None
+
+
+def _unit(key: str, default: Optional[str] = None) -> Opt:
+    return Opt(key, "float", default, low=0.0, high=1.0)
+
+
+ROUNDS = Opt("rounds", "int", "1", low=1)
+DELTA = _unit("delta", "0.9")
+GRID = Opt("grid", "int", low=1)
+RATE = Opt("rate", "float", low=0.0)
+REG = Opt("reg", "int", "1", choices=(1, 2))
+LEARNING = (ROUNDS, DELTA, GRID, RATE, REG, Opt("horizon", "int", low=1))
+SNAP = Opt("snap", "bool", "false", help="round off-grid strategy literals to the grid")
+MARKET = (_unit("delta"), _unit("tau"), _unit("p"))
+OUT = Opt("out", "path", help="output path (default: stdout)")
+MANIFEST = Opt("manifest", "path", help="write the resolved run manifest here")
+
+OPTIONS: Dict[str, Tuple[Opt, ...]] = {
     "run": (
-        "rounds", "delta", "grid", "rate", "reg", "horizon",
-        "wp", "wr", "alpha-p", "alpha-r", "trace", "snap",
+        *LEARNING,
+        Opt("trace", "bool", "false", help="embed the full trajectory in the record"),
+        SNAP,
+        *(Opt(key, "strategy") for key in ("wp", "wr", "alpha-p", "alpha-r")),
+        OUT, MANIFEST,
     ),
     "sweep": (
-        "rounds", "delta", "grid", "rate", "reg", "horizon",
-        "wp", "wr", "wp-values", "wr-values", "alpha-p", "alpha-r",
-        "snap", "agg", "agg-payoff", "jobs",
+        *LEARNING,
+        SNAP,
+        Opt("agg", "choice", "none",
+            choices=("over-responder", "over-proposer", "none")),
+        Opt("agg-payoff", "choice", "P", choices=("P", "R")),
+        Opt("jobs", "int", "1", low=1, env="BARGAINLAB_JOBS"),
+        Opt("wp", "strategy", optional=True), Opt("wp-values", "levels", optional=True),
+        Opt("wr", "strategy", optional=True), Opt("wr-values", "levels", optional=True),
+        Opt("alpha-p", "strategy"), Opt("alpha-r", "strategy"),
+        OUT,
+        Opt("agg-out", "path", help="aggregated CSV path"),
+        Opt("svg", "path", help="heatmap SVG path (requires --agg)"),
+        MANIFEST,
     ),
     "spe-region": (
-        "delta", "tau", "p", "mode", "resolution", "samples", "seed",
+        *MARKET,
+        Opt("mode", "choice", "enumerate", choices=("enumerate", "sample", "gaps")),
+        Opt("resolution", "int", "50", low=2),
+        Opt("samples", "int", "100", low=1),
+        Opt("seed", "int", "0", low=0),
+        OUT, MANIFEST,
     ),
     "regret": (
-        "rounds", "delta", "reg", "horizons", "adversary",
-        "grid", "rate", "wp", "alpha-p",
+        ROUNDS, DELTA, replace(REG, default="2"),
+        Opt("horizons", "ints", low=1),
+        Opt("adversary", "str"),
+        replace(GRID, optional=True), replace(RATE, optional=True),
+        Opt("wp", "shares", optional=True), Opt("alpha-p", "shares", optional=True),
+        OUT, MANIFEST,
     ),
     "verify-spe": (
-        "delta", "tau", "p", "w1", "w2", "z-rule", "scan-grid",
+        *MARKET, _unit("w1"), _unit("w2"),
+        Opt("z-rule", "choice", "midpoint", choices=("midpoint", "lower", "upper")),
+        Opt("scan-grid", "int", "200", low=10),
+        OUT, MANIFEST,
     ),
 }
 
-COMMAND_DEFAULTS: Dict[str, Dict[str, str]] = {
-    "run": {"rounds": "1", "delta": "0.9", "reg": "1",
-            "trace": "false", "snap": "false"},
-    "sweep": {"rounds": "1", "delta": "0.9", "reg": "1", "snap": "false",
-              "agg": "none", "agg-payoff": "P"},
-    "spe-region": {"mode": "enumerate", "resolution": "50",
-                   "samples": "100", "seed": "0"},
-    "regret": {"rounds": "1", "delta": "0.9", "reg": "2"},
-    "verify-spe": {"z-rule": "midpoint", "scan-grid": "200"},
-}
+BOOLEANS = {"true": True, "1": True, "yes": True,
+            "false": False, "0": False, "no": False}
 
 
 def _load_config_file(path: str, command: str) -> Dict[str, str]:
@@ -143,203 +180,148 @@ def _load_config_file(path: str, command: str) -> Dict[str, str]:
     return settings
 
 
-class Resolver:
-    """Merge defaults, config-file values, and flags for one command.
+class Settings(dict):
+    """The parsed settings of one command by key: defaults < config < flags.
 
-    Getter methods both parse a setting and record its canonical string
-    form, so that ``resolved_config()`` can be replayed through ``--config``
-    to reproduce the run byte for byte.
+    Parsing also gathers what the run manifest records: the canonical text
+    of each setting (``config``; replayed through ``--config`` it reproduces
+    the run byte for byte), every snap of an off-grid literal (``rounding``)
+    and a sampling command's ``seed``.  Output paths are checked before any
+    work starts.
     """
 
-    def __init__(self, command: str, args: argparse.Namespace):
-        keys = COMMAND_KEYS[command]
-        raw = dict(COMMAND_DEFAULTS[command])
-        if getattr(args, "config", None):
-            file_cfg = _load_config_file(args.config, command)
+    def __init__(self, args: argparse.Namespace):
+        super().__init__()
+        self.command, self.args = args.command, args
+        self.config: Dict[str, str] = {}
+        self.rounding: List[str] = []
+        self.seed: Optional[int] = None
+        options = [o for o in OPTIONS[self.command] if o.kind != "path"]
+        raw = {o.key: (o.env and os.environ.get(o.env)) or o.default for o in options}
+        if args.config:
+            file_cfg = _load_config_file(args.config, self.command)
             for key in sorted(file_cfg):
-                if key not in keys:
+                if key not in raw:
                     raise ConfigError(f"unknown configuration key: {key!r}")
             raw.update(file_cfg)
-        for key in keys:
-            flag = getattr(args, key.replace("-", "_"), None)
-            if isinstance(flag, bool):
-                if flag:
-                    raw[key] = "true"
-            elif flag is not None:
-                raw[key] = flag
-        self.raw = raw
-        self.resolved: Dict[str, str] = {}
+        for opt in OPTIONS[self.command]:
+            flag = getattr(args, opt.key.replace("-", "_"))
+            if opt.kind == "path":
+                _check_writable(flag)
+                continue
+            if flag is not None:
+                raw[opt.key] = "true" if flag is True else flag
+            if raw[opt.key] is not None:
+                self[opt.key], self.config[opt.key] = self._parse(opt, raw[opt.key])
+            elif not opt.optional:
+                raise ConfigError(f"missing required setting: {opt.key}")
 
-    def has(self, key: str) -> bool:
-        return self.raw.get(key) is not None
-
-    def _require(self, key: str) -> str:
-        value = self.raw.get(key)
-        if value is None:
-            raise ConfigError(f"missing required setting: {key}")
-        return value
-
-    def get_int(self, key: str, minimum: Optional[int] = None) -> int:
-        raw = self._require(key)
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
-        self.resolved[key] = str(value)
-        return value
-
-    def get_float(
-        self,
-        key: str,
-        low: Optional[float] = None,
-        high: Optional[float] = None,
-    ) -> float:
-        raw = self._require(key)
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {raw!r}")
-        if low is not None and value < low:
-            raise ConfigError(f"{key}: must be >= {low}, got {raw!r}")
-        if high is not None and value > high:
-            raise ConfigError(f"{key}: must be <= {high}, got {raw!r}")
-        self.resolved[key] = repr(value)
-        return value
-
-    def get_bool(self, key: str) -> bool:
-        raw = self._require(key).lower()
-        if raw in ("true", "1", "yes"):
-            value = True
-        elif raw in ("false", "0", "no"):
-            value = False
-        else:
-            raise ConfigError(f"{key}: expected true or false, got {raw!r}")
-        self.resolved[key] = "true" if value else "false"
-        return value
-
-    def get_choice(self, key: str, choices: Sequence[str]) -> str:
-        raw = self._require(key)
-        if raw not in choices:
+    def _parse(self, opt: Opt, text: str) -> Tuple[object, str]:
+        """One setting's parsed value and its canonical text."""
+        key, kind = opt.key, opt.kind
+        if kind == "choice" and text not in opt.choices:
             raise ConfigError(
-                f"{key}: expected one of {', '.join(choices)}; got {raw!r}"
+                f"{key}: expected one of {', '.join(opt.choices)}; got {text!r}"
             )
-        self.resolved[key] = raw
-        return raw
+        if kind in ("choice", "str"):
+            return text, text
+        if kind == "bool":
+            text = text.lower()
+            if text not in BOOLEANS:
+                raise ConfigError(f"{key}: expected true or false, got {text!r}")
+            return BOOLEANS[text], "true" if BOOLEANS[text] else "false"
+        if kind == "int":
+            value = _convert(int, key, text, "an integer")
+            _check_low(opt, value)
+            if opt.choices and value not in opt.choices:
+                raise ConfigError(
+                    f"{key}: supported regularizer exponents are 1 and 2, "
+                    f"got {value}"
+                )
+            return value, str(value)
+        if kind == "float":
+            value = _convert(float, key, text, "a number")
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {text!r}")
+            if opt.low is not None and value < opt.low:
+                raise ConfigError(f"{key}: must be >= {opt.low}, got {text!r}")
+            if opt.high is not None and value > opt.high:
+                raise ConfigError(f"{key}: must be <= {opt.high}, got {text!r}")
+            return value, repr(value)
 
-    def get_string(self, key: str) -> str:
-        raw = self._require(key)
-        self.resolved[key] = raw
-        return raw
-
-    def get_int_list(self, key: str) -> List[int]:
-        raw = self._require(key)
-        try:
-            values = [int(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated integers")
-        if not values:
-            raise ConfigError(f"{key}: at least one value required")
-        self.resolved[key] = ",".join(str(v) for v in values)
-        return values
-
-    def get_float_list(self, key: str) -> List[float]:
-        raw = self._require(key)
-        try:
-            values = [float(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated numbers")
-        if not values:
-            raise ConfigError(f"{key}: at least one value required")
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{key}: values must lie in [0, 1]")
-        self.resolved[key] = ",".join(repr(v) for v in values)
-        return values
-
-    def get_strategy(
-        self,
-        key: str,
-        grid: int,
-        rounds: int,
-        snap: bool,
-        rounding: List[str],
-    ) -> Tuple[int, ...]:
-        """Parse a comma-separated strategy literal into grid numerators."""
-        raw = self._require(key)
-        parts = [part for part in raw.split(",") if part.strip()]
-        if len(parts) != rounds:
+        parts = [part for part in text.split(",") if part.strip()]
+        if kind == "strategy" and len(parts) != self["rounds"]:
             raise ConfigError(
-                f"{key}: expected {rounds} comma-separated values, "
+                f"{key}: expected {self['rounds']} comma-separated values, "
                 f"got {len(parts)}"
             )
-        entries = []
-        canonical = []
-        for position, part in enumerate(parts, start=1):
-            value = _snap_to_grid(key, position, part, grid, snap, rounding)
-            entries.append(value)
-            canonical.append(repr(value / grid))
-        self.resolved[key] = ",".join(canonical)
-        return tuple(entries)
-
-    def get_grid_values(
-        self,
-        key: str,
-        grid: int,
-        snap: bool,
-        rounding: List[str],
-    ) -> List[int]:
-        """Parse per-coordinate sweep levels, each a single grid value."""
-        raw = self._require(key)
-        parts = [part for part in raw.split(",") if part.strip()]
-        if not parts:
+        if kind in ("ints", "shares"):
+            try:
+                values = [(int if kind == "ints" else float)(p) for p in parts]
+            except ValueError:
+                what = "integers" if kind == "ints" else "numbers"
+                raise ConfigError(f"{key}: expected comma-separated {what}")
+        else:
+            values = [self._literal(key, position, part)
+                      for position, part in enumerate(parts, start=1)]
+        if not values:
             raise ConfigError(f"{key}: at least one value required")
-        levels = []
-        canonical = []
-        for position, part in enumerate(parts, start=1):
-            value = _snap_to_grid(key, position, part, grid, snap, rounding)
-            levels.append(value)
-            canonical.append(repr(value / grid))
-        self.resolved[key] = ",".join(canonical)
-        return levels
+        if kind == "ints":
+            for value in values:
+                _check_low(opt, value)
+            return values, ",".join(str(v) for v in values)
+        if kind == "shares":
+            if not all(0.0 <= v <= 1.0 for v in values):
+                raise ConfigError(f"{key}: values must lie in [0, 1]")
+            return values, ",".join(repr(v) for v in values)
+        canonical = ",".join(repr(e / self["grid"]) for e in values)
+        return (tuple(values) if kind == "strategy" else values), canonical
+
+    def _literal(self, key: str, position: int, text: str) -> int:
+        """Grid numerator of one strategy value; off-grid values are
+        snapped when ``snap`` is set and rejected otherwise."""
+        value = _convert(float, key, text, "a number")
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{key}: {text!r} is outside [0, 1]")
+        grid = self["grid"]
+        nearest, exact = snap_share(value, grid)
+        if not exact:
+            if not self["snap"]:
+                raise _off_grid(key, value, grid)
+            self.rounding.append(f"{key}[{position}]: {value!r} -> {nearest / grid!r}")
+        return nearest
+
+    def manifest(self) -> RunManifest:
+        return RunManifest(self.command, __version__, dict(self.config), self.seed,
+                           list(self.rounding))
 
 
-def _snap_to_grid(
-    key: str,
-    position: int,
-    raw: str,
-    grid: int,
-    snap: bool,
-    rounding: List[str],
-) -> int:
+def _convert(kind, key: str, text: str, what: str):
     try:
-        value = float(raw)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{key}: {raw!r} is outside [0, 1]")
+        raise ConfigError(f"{key}: expected {what}, got {text!r}")
+
+
+def _check_low(opt: Opt, value: int) -> None:
+    if opt.low is not None and value < opt.low:
+        raise ConfigError(f"{opt.key}: must be >= {opt.low}, got {value}")
+
+
+def _off_grid(key: str, value: float, grid: int, where: str = "") -> ConfigError:
     scaled = value * grid
-    nearest = math.floor(scaled + 0.5)
-    nearest = min(max(nearest, 0), grid)
-    if abs(scaled - nearest) <= 1e-9 * max(1.0, grid):
-        return int(nearest)
-    if snap:
-        rounding.append(f"{key}[{position}]: {value!r} -> {nearest / grid!r}")
-        return int(nearest)
-    below = math.floor(scaled) / grid
-    above = math.ceil(scaled) / grid
-    raise ConfigError(
-        f"{key}: {value!r} is not a multiple of 1/{grid}; "
-        f"nearest grid values are {below!r} and {above!r}"
+    return ConfigError(
+        f"{key}: {value!r} is not a multiple of 1/{grid}{where}; nearest "
+        f"grid values are {math.floor(scaled) / grid!r} and "
+        f"{math.ceil(scaled) / grid!r}"
     )
 
 
 def _check_writable(path: Optional[str]) -> None:
     if path is None:
         return
+    if os.path.isdir(path):
+        raise ConfigError(f"output path is a directory: {path}")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory does not exist: {directory}")
@@ -354,97 +336,75 @@ def _wrap_value_error(builder, *args, **kwargs):
         raise ConfigError(str(exc))
 
 
+def _learners(
+    reg: int, rate: float, grid: int, horizon: int, initials, anchors
+) -> Tuple[LearnerConfig, LearnerConfig]:
+    """Proposer and responder configs from (P, R) initial and anchor entries."""
+    return tuple(
+        LearnerConfig(
+            owner=owner, reg=reg, rate=rate, anchor=Strategy(anchor, grid),
+            initial=Strategy(initial, grid), horizon=horizon,
+        )
+        for owner, initial, anchor in zip("PR", initials, anchors)
+    )
+
+
+def _learning(
+    settings: Settings, initial_p: Tuple[int, ...], initial_r: Tuple[int, ...]
+) -> Tuple[GameConfig, LearnerConfig, LearnerConfig]:
+    """The game and both learners of ``run`` / ``sweep``.  Warns on stderr
+    when the pure-play rule's rate is too low for the grid."""
+    grid = settings["grid"]
+    game = _wrap_value_error(
+        GameConfig, rounds=settings["rounds"], grid=grid, delta=settings["delta"]
+    )
+    proposer, responder = _wrap_value_error(
+        _learners, settings["reg"], settings["rate"], grid, settings["horizon"],
+        (initial_p, initial_r), (settings["alpha-p"], settings["alpha-r"]),
+    )
+    warning = proposer.rate_warning_for(game)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
+    return game, proposer, responder
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
 
-def _play_json(play) -> object:
-    if isinstance(play, Strategy):
-        return [entry / play.denom for entry in play.entries]
-    if isinstance(play, MixedStrategy):
-        return {"weights": [float(w) for w in play.weights]}
-    raise TypeError(f"unexpected play type: {type(play)!r}")  # pragma: no cover
-
-
 def _profile_json(profile) -> list:
-    return [_play_json(profile[0]), _play_json(profile[1])]
+    """A joint play: the shares of a pure play, the weights of a mixed one."""
+    return [
+        {"weights": [float(w) for w in play.weights]}
+        if isinstance(play, MixedStrategy) else list(play.values)
+        for play in profile
+    ]
 
 
-def _print_rate_warning(game: GameConfig, config: LearnerConfig) -> None:
-    """Report on stderr when the pure-play rule's rate is too low for the grid."""
-    warning = config.rate_warning_for(game)
-    if warning:
-        print(f"warning: {warning}", file=sys.stderr)
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    res = Resolver("run", args)
-    rounds = res.get_int("rounds", minimum=1)
-    delta = res.get_float("delta", low=0.0, high=1.0)
-    grid = res.get_int("grid", minimum=1)
-    rate = res.get_float("rate", low=0.0)
-    reg = res.get_int("reg")
-    if reg not in (1, 2):
-        raise ConfigError(f"reg: supported regularizer exponents are 1 and 2, got {reg}")
-    res.resolved["reg"] = str(reg)
-    horizon = res.get_int("horizon", minimum=1)
-    trace = res.get_bool("trace")
-    snap = res.get_bool("snap")
-    rounding: List[str] = []
-    wp = res.get_strategy("wp", grid, rounds, snap, rounding)
-    wr = res.get_strategy("wr", grid, rounds, snap, rounding)
-    alpha_p = res.get_strategy("alpha-p", grid, rounds, snap, rounding)
-    alpha_r = res.get_strategy("alpha-r", grid, rounds, snap, rounding)
-    _check_writable(args.out)
-    _check_writable(args.manifest)
-
-    game = _wrap_value_error(GameConfig, rounds=rounds, grid=grid, delta=delta)
-    proposer = _wrap_value_error(
-        LearnerConfig, owner="P", reg=reg, rate=rate,
-        anchor=Strategy(alpha_p, grid), initial=Strategy(wp, grid),
-        horizon=horizon,
-    )
-    responder = _wrap_value_error(
-        LearnerConfig, owner="R", reg=reg, rate=rate,
-        anchor=Strategy(alpha_r, grid), initial=Strategy(wr, grid),
-        horizon=horizon,
-    )
-    _print_rate_warning(game, proposer)
-    record = self_play(game, proposer, responder)
-
-    manifest = RunManifest(
-        command="run", version=__version__, config=dict(res.resolved),
-        seed=None, grid_rounding=rounding,
-    )
+def cmd_run(settings: Settings) -> int:
+    record = self_play(*_learning(settings, settings["wp"], settings["wr"]))
     converged = record.converged_at is not None
     document = {
-        "manifest": manifest.as_dict(),
+        "manifest": settings.manifest().as_dict(),
         "result": {
             "converged": converged,
             "converged_at": record.converged_at,
             "ne_value": record.ne_value,
             "ne_round": record.ne_round,
-            "ne_profile": (
-                _profile_json(record.ne_profile)
-                if record.ne_profile is not None else None
-            ),
+            "ne_profile": record.ne_profile and _profile_json(record.ne_profile),
             "payoff_P": record.payoff_P,
             "payoff_R": record.payoff_R,
             "horizon": record.horizon,
         },
     }
-    if trace:
-        document["trajectory"] = [
-            _profile_json(profile) for profile in record.profiles
-        ]
+    if settings["trace"]:
+        document["trajectory"] = [_profile_json(p) for p in record.profiles]
     else:
         document["trajectory_summary"] = {
             "steps": record.horizon,
             "final": _profile_json(record.profiles[-1]),
         }
-    write_json(args.out, document)
-    if args.manifest:
-        write_json(args.manifest, manifest.as_dict())
+    write_json(settings.args.out, document)
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
@@ -461,58 +421,35 @@ def _sweep_chunk(payload) -> list:
     (rounds, grid, delta, rate, reg, horizon, alpha_p, alpha_r, cells) = payload
     game = GameConfig(rounds=rounds, grid=grid, delta=delta)
     rows = []
-    if reg == 1:
-        index_p = np.array(
-            [strategy_index(game, Strategy(p, grid)) for p, _ in cells],
-            dtype=np.int64,
-        )
-        index_r = np.array(
-            [strategy_index(game, Strategy(r, grid)) for _, r in cells],
-            dtype=np.int64,
-        )
-        anchor_p = np.full(
-            len(cells), strategy_index(game, Strategy(alpha_p, grid)),
-            dtype=np.int64,
-        )
-        anchor_r = np.full(
-            len(cells), strategy_index(game, Strategy(alpha_r, grid)),
-            dtype=np.int64,
-        )
-        batch = batch_self_play(
-            game, rate, horizon, index_p, index_r, anchor_p, anchor_r
-        )
-        for b in range(len(cells)):
-            converged = bool(batch.converged_at[b] >= 0)
-            ne_value = float(batch.ne_value[b])
-            rows.append((
-                converged,
-                int(batch.converged_at[b]) if converged else None,
-                int(batch.ne_round[b]) if batch.ne_round[b] > 0 else None,
-                None if math.isnan(ne_value) else ne_value,
-                float(batch.payoff_P[b]),
-                float(batch.payoff_R[b]),
-            ))
-    else:
+    if reg != 1:
         for p_entries, r_entries in cells:
-            proposer = LearnerConfig(
-                owner="P", reg=reg, rate=rate,
-                anchor=Strategy(alpha_p, grid),
-                initial=Strategy(p_entries, grid), horizon=horizon,
-            )
-            responder = LearnerConfig(
-                owner="R", reg=reg, rate=rate,
-                anchor=Strategy(alpha_r, grid),
-                initial=Strategy(r_entries, grid), horizon=horizon,
-            )
-            record = self_play(game, proposer, responder)
-            rows.append((
-                record.converged_at is not None,
-                record.converged_at,
-                record.ne_round,
-                record.ne_value,
-                record.payoff_P,
-                record.payoff_R,
+            record = self_play(game, *_learners(
+                reg, rate, grid, horizon, (p_entries, r_entries), (alpha_p, alpha_r)
             ))
+            rows.append((
+                record.converged_at is not None, record.converged_at, record.ne_round,
+                record.ne_value, record.payoff_P, record.payoff_R,
+            ))
+        return rows
+
+    def index(entries: Tuple[int, ...]) -> int:
+        return strategy_index(game, Strategy(entries, grid))
+
+    batch = batch_self_play(
+        game, rate, horizon,
+        [index(p) for p, _ in cells], [index(r) for _, r in cells],
+        [index(alpha_p)] * len(cells), [index(alpha_r)] * len(cells),
+    )
+    for b in range(len(cells)):
+        converged = bool(batch.converged_at[b] >= 0)
+        ne_value = float(batch.ne_value[b])
+        rows.append((
+            converged,
+            int(batch.converged_at[b]) if converged else None,
+            int(batch.ne_round[b]) if batch.ne_round[b] > 0 else None,
+            None if math.isnan(ne_value) else ne_value,
+            float(batch.payoff_P[b]), float(batch.payoff_R[b]),
+        ))
     return rows
 
 
@@ -523,8 +460,7 @@ def _run_sweep_cells(payload_base, cells, jobs: int) -> list:
     bounds = np.linspace(0, len(cells), workers + 1).astype(int)
     payloads = [
         (*payload_base, cells[bounds[i]:bounds[i + 1]])
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
+        for i in range(workers) if bounds[i] < bounds[i + 1]
     ]
     rows: list = []
     with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
@@ -533,68 +469,40 @@ def _run_sweep_cells(payload_base, cells, jobs: int) -> list:
     return rows
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    res = Resolver("sweep", args)
-    rounds = res.get_int("rounds", minimum=1)
-    delta = res.get_float("delta", low=0.0, high=1.0)
-    grid = res.get_int("grid", minimum=1)
-    rate = res.get_float("rate", low=0.0)
-    reg = res.get_int("reg")
-    if reg not in (1, 2):
-        raise ConfigError(f"reg: supported regularizer exponents are 1 and 2, got {reg}")
-    res.resolved["reg"] = str(reg)
-    horizon = res.get_int("horizon", minimum=1)
-    snap = res.get_bool("snap")
-    agg = res.get_choice("agg", ("over-responder", "over-proposer", "none"))
-    agg_payoff = res.get_choice("agg-payoff", ("P", "R"))
-    if res.raw.get("jobs") is None:
-        res.raw["jobs"] = os.environ.get("BARGAINLAB_JOBS") or "1"
-    jobs = res.get_int("jobs", minimum=1)
-    rounding: List[str] = []
+def _cell_axis(settings: Settings, fixed_key: str, values_key: str) -> list:
+    if (fixed_key in settings) == (values_key in settings):
+        raise ConfigError(f"exactly one of {fixed_key} and {values_key} is required")
+    if fixed_key in settings:
+        return [settings[fixed_key]]
+    return list(product(settings[values_key], repeat=settings["rounds"]))
 
-    def cell_axis(fixed_key: str, values_key: str) -> List[Tuple[int, ...]]:
-        has_fixed = res.has(fixed_key)
-        has_values = res.has(values_key)
-        if has_fixed == has_values:
-            raise ConfigError(
-                f"exactly one of {fixed_key} and {values_key} is required"
-            )
-        if has_fixed:
-            return [res.get_strategy(fixed_key, grid, rounds, snap, rounding)]
-        levels = res.get_grid_values(values_key, grid, snap, rounding)
-        return [tuple(cell) for cell in product(levels, repeat=rounds)]
 
-    cells_p = cell_axis("wp", "wp-values")
-    cells_r = cell_axis("wr", "wr-values")
-    alpha_p = res.get_strategy("alpha-p", grid, rounds, snap, rounding)
-    alpha_r = res.get_strategy("alpha-r", grid, rounds, snap, rounding)
-
+def cmd_sweep(settings: Settings) -> int:
+    args = settings.args
+    rounds, grid = settings["rounds"], settings["grid"]
+    agg, agg_payoff = settings["agg"], settings["agg-payoff"]
+    cells_p = _cell_axis(settings, "wp", "wp-values")
+    cells_r = _cell_axis(settings, "wr", "wr-values")
     if agg == "none" and args.agg_out:
         raise ConfigError("agg-out requires an aggregation mode (--agg)")
     if agg != "none" and not args.agg_out:
         raise ConfigError(f"aggregation {agg!r} requires --agg-out")
     if args.svg and agg == "none":
         raise ConfigError("svg output requires an aggregation mode (--agg)")
-    _check_writable(args.out)
-    _check_writable(args.agg_out)
-    _check_writable(args.svg)
-    _check_writable(args.manifest)
-    game = _wrap_value_error(GameConfig, rounds=rounds, grid=grid, delta=delta)
-    anchor_p = Strategy(alpha_p, grid)
-    _print_rate_warning(game, _wrap_value_error(
-        LearnerConfig, owner="P", reg=reg, rate=rate, anchor=anchor_p,
-        initial=anchor_p, horizon=horizon,
-    ))
+    alpha_p, alpha_r = settings["alpha-p"], settings["alpha-r"]
+    _learning(settings, alpha_p, alpha_r)
 
     cells = [(p, r) for p in cells_p for r in cells_r]
-    payload_base = (rounds, grid, delta, rate, reg, horizon, alpha_p, alpha_r)
-    results = _run_sweep_cells(payload_base, cells, jobs)
+    payload_base = (
+        rounds, grid, settings["delta"], settings["rate"], settings["reg"],
+        settings["horizon"], alpha_p, alpha_r,
+    )
+    results = _run_sweep_cells(payload_base, cells, settings["jobs"])
 
     header = (
         [f"wp{i}_init" for i in range(1, rounds + 1)]
         + [f"wr{i}_init" for i in range(1, rounds + 1)]
-        + ["converged", "t_converge", "ne_round", "ne_value",
-           "payoff_P", "payoff_R"]
+        + ["converged", "t_converge", "ne_round", "ne_value", "payoff_P", "payoff_R"]
     )
     rows = []
     for (p_cell, r_cell), outcome in zip(cells, results):
@@ -603,55 +511,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     write_csv(args.out, header, rows)
 
     if agg != "none":
-        payoff_col = 4 if agg_payoff == "P" else 5
+        column = 4 if agg_payoff == "P" else 5
         groups: Dict[Tuple[int, ...], List[float]] = {}
-        order: List[Tuple[int, ...]] = []
         for (p_cell, r_cell), outcome in zip(cells, results):
             key = p_cell if agg == "over-responder" else r_cell
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(outcome[payoff_col])
-        agg_rows = []
-        for key in order:
-            values = groups[key]
-            mean = math.fsum(values) / len(values)
-            cell_x = key[0] / grid
-            cell_y = key[1] / grid if rounds >= 2 else None
-            agg_rows.append((cell_x, cell_y, mean))
+            groups.setdefault(key, []).append(outcome[column])
+        agg_rows = [
+            (key[0] / grid, key[1] / grid if rounds >= 2 else None,
+             math.fsum(values) / len(values))
+            for key, values in groups.items()
+        ]
         write_csv(args.agg_out, ["cell_x", "cell_y", "mean_payoff"], agg_rows)
         if args.svg:
-            x_labels: List[str] = []
-            y_labels: List[str] = []
-            for cell_x, cell_y, _ in agg_rows:
-                lx = repr(cell_x)
-                ly = "" if cell_y is None else repr(cell_y)
-                if lx not in x_labels:
-                    x_labels.append(lx)
-                if ly not in y_labels:
-                    y_labels.append(ly)
-            matrix: List[List[Optional[float]]] = [
-                [None] * len(x_labels) for _ in y_labels
-            ]
-            for cell_x, cell_y, mean in agg_rows:
-                ix = x_labels.index(repr(cell_x))
-                iy = y_labels.index("" if cell_y is None else repr(cell_y))
-                matrix[iy][ix] = None if math.isnan(mean) else mean
+            labels = [(repr(x), "" if y is None else repr(y)) for x, y, _ in agg_rows]
+            xs = list(dict.fromkeys(lx for lx, _ in labels))
+            ys = list(dict.fromkeys(ly for _, ly in labels))
+            matrix: List[List[Optional[float]]] = [[None] * len(xs) for _ in ys]
+            for (lx, ly), (_, _, mean) in zip(labels, agg_rows):
+                matrix[ys.index(ly)][xs.index(lx)] = None if math.isnan(mean) else mean
             axis = "proposer" if agg == "over-responder" else "responder"
-            svg = heatmap_svg(
-                x_labels, y_labels, matrix,
+            write_text(args.svg, heatmap_svg(
+                xs, ys, matrix,
                 title=f"mean payoff {agg_payoff} per {axis} cell",
                 value_label=f"payoff {agg_payoff}",
-            )
-            with open(args.svg, "w") as fh:
-                fh.write(svg)
-
-    if args.manifest:
-        manifest = RunManifest(
-            command="sweep", version=__version__, config=dict(res.resolved),
-            seed=None, grid_rounding=rounding,
-        )
-        write_json(args.manifest, manifest.as_dict())
+            ))
 
     all_converged = all(outcome[0] for outcome in results)
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
@@ -661,17 +544,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # spe-region
 # ---------------------------------------------------------------------------
 
-def cmd_spe_region(args: argparse.Namespace) -> int:
-    res = Resolver("spe-region", args)
-    delta = res.get_float("delta", low=0.0, high=1.0)
-    tau = res.get_float("tau", low=0.0, high=1.0)
-    p = res.get_float("p", low=0.0, high=1.0)
-    mode = res.get_choice("mode", ("enumerate", "sample", "gaps"))
-    resolution = res.get_int("resolution", minimum=2)
-    samples = res.get_int("samples", minimum=1)
-    seed = res.get_int("seed", minimum=0)
-    _check_writable(args.out)
-    _check_writable(args.manifest)
+def cmd_spe_region(settings: Settings) -> int:
+    delta, tau, p = settings["delta"], settings["tau"], settings["p"]
+    mode, resolution = settings["mode"], settings["resolution"]
     params = _wrap_value_error(MarketParams, delta=delta, tau=tau, p=p)
 
     if mode == "gaps":
@@ -683,11 +558,10 @@ def cmd_spe_region(args: argparse.Namespace) -> int:
             lattice = [i / (resolution - 1) for i in range(resolution)]
             targets = [(w1, w2) for w1 in lattice for w2 in lattice]
         else:
-            rng = np.random.default_rng(seed)
-            targets = [
-                (float(rng.random()), float(rng.random()))
-                for _ in range(samples)
-            ]
+            settings.seed = settings["seed"]
+            rng = np.random.default_rng(settings.seed)
+            targets = [(float(rng.random()), float(rng.random()))
+                       for _ in range(settings["samples"])]
         warning = ""
         if not params.in_theorem1_regime:
             bound = delta * delta / (1.0 + delta)
@@ -704,23 +578,14 @@ def cmd_spe_region(args: argparse.Namespace) -> int:
                 cert = construct_certificate(params, target)
                 if not prop2_check(cert, params):  # pragma: no cover
                     raise RuntimeError(
-                        "internal error: feasible target failed the "
-                        "stationarity check"
+                        "internal error: feasible target failed the stationarity check"
                     )
                 w_f, w_c1, w_c2 = cert.W_f, cert.W_c1, cert.W_c2
             else:
                 w_f = w_c1 = w_c2 = None
             rows.append((w1, w2, feasible, w_f, w_c1, w_c2, warning))
 
-    write_csv(args.out, header, rows)
-    if args.manifest:
-        manifest = RunManifest(
-            command="spe-region", version=__version__,
-            config=dict(res.resolved),
-            seed=seed if mode == "sample" else None,
-            grid_rounding=[],
-        )
-        write_json(args.manifest, manifest.as_dict())
+    write_csv(settings.args.out, header, rows)
     return EXIT_OK
 
 
@@ -747,8 +612,7 @@ def _adversary_plays(
     entry = doc.get(str(horizon), doc.get("default"))
     if entry is None:
         raise ConfigError(
-            f"adversary file has no entry for horizon {horizon} "
-            "and no default"
+            f"adversary file has no entry for horizon {horizon} and no default"
         )
     if not isinstance(entry, dict):
         raise ConfigError(f"adversary entry for {horizon} must be an object")
@@ -761,151 +625,85 @@ def _adversary_plays(
         plays = entry["plays"]
         if not isinstance(plays, list) or len(plays) != horizon:
             raise ConfigError(
-                f"adversary plays for {horizon} must list exactly "
-                f"{horizon} rounds"
+                f"adversary plays for {horizon} must list exactly {horizon} rounds"
             )
     else:
-        raise ConfigError(
-            f"adversary entry for {horizon} needs a cycle or plays field"
-        )
-    normalized = []
+        raise ConfigError(f"adversary entry for {horizon} needs a cycle or plays field")
     for t, play in enumerate(plays, start=1):
         if not isinstance(play, list) or len(play) != rounds:
             raise ConfigError(
                 f"adversary play {t} for horizon {horizon} must list "
                 f"{rounds} values"
             )
-        values = []
-        for v in play:
-            if not isinstance(v, (int, float)) or not 0.0 <= float(v) <= 1.0:
-                raise ConfigError(
-                    f"adversary play {t} for horizon {horizon} has a value "
-                    "outside [0, 1]"
-                )
-            values.append(float(v))
-        normalized.append(tuple(values))
+        if not all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0
+                   for v in play):
+            raise ConfigError(
+                f"adversary play {t} for horizon {horizon} has a value "
+                "outside [0, 1]"
+            )
     bins = entry.get("bins")
     if bins is not None and not isinstance(bins, list):
         raise ConfigError(f"adversary bins for {horizon} must be a list")
-    return normalized, bins
+    return [tuple(float(v) for v in play) for play in plays], bins
 
 
-def cmd_regret(args: argparse.Namespace) -> int:
-    res = Resolver("regret", args)
-    rounds = res.get_int("rounds", minimum=1)
-    delta = res.get_float("delta", low=0.0, high=1.0)
-    reg = res.get_int("reg")
-    if reg not in (1, 2):
-        raise ConfigError(f"reg: supported regularizer exponents are 1 and 2, got {reg}")
-    res.resolved["reg"] = str(reg)
-    horizons = res.get_int_list("horizons")
-    for horizon in horizons:
-        if horizon < 1:
-            raise ConfigError(f"horizons: must be >= 1, got {horizon}")
-    adversary_path = res.get_string("adversary")
-    grid_override = res.get_int("grid", minimum=1) if res.has("grid") else None
-    rate_override = res.get_float("rate", low=0.0) if res.has("rate") else None
-    wp_values = res.get_float_list("wp") if res.has("wp") else None
-    alpha_values = (
-        res.get_float_list("alpha-p") if res.has("alpha-p") else None
-    )
-    _check_writable(args.out)
-    _check_writable(args.manifest)
-    doc = _load_adversary_file(adversary_path)
+def _regret_start(
+    settings: Settings, key: str, grid: int, horizon: int, fallback
+) -> Tuple[int, ...]:
+    """Grid numerators of a regret start or anchor override, else fallback."""
+    if key not in settings:
+        return fallback
+    entries = []
+    for value in settings[key]:
+        nearest, exact = snap_share(value, grid)
+        if not exact:
+            raise _off_grid(key, value, grid, f" (horizon {horizon})")
+        entries.append(nearest)
+    if len(entries) != settings["rounds"]:
+        rounds = settings["rounds"]
+        raise ConfigError(f"{key}: expected {rounds} comma-separated values")
+    return tuple(entries)
+
+
+def cmd_regret(settings: Settings) -> int:
+    rounds = settings["rounds"]
+    doc = _load_adversary_file(settings["adversary"])
 
     # Validate and assemble every horizon before running any of them, so a
-    # bad entry never leaves partial output behind.
+    # bad entry fails before any learning work.
     experiments = []
-    for horizon in horizons:
-        grid = grid_override if grid_override is not None else horizon
-        rate = (
-            rate_override if rate_override is not None
-            else 1.0 / math.sqrt(horizon)
-        )
+    for horizon in settings["horizons"]:
+        grid = settings.get("grid", horizon)
         plays, bins = _adversary_plays(doc, horizon, rounds)
         game = _wrap_value_error(
-            GameConfig, rounds=rounds, grid=grid, delta=delta
+            GameConfig, rounds=rounds, grid=grid, delta=settings["delta"]
         )
-        adversary = _wrap_value_error(
-            make_adversary, game, plays, bins=bins
-        )
-
-        def literal(key, values, fallback):
-            if values is None:
-                return fallback
-            entries = []
-            for v in values:
-                scaled = v * grid
-                nearest = math.floor(scaled + 0.5)
-                if abs(scaled - nearest) > 1e-9 * max(1.0, grid):
-                    below = math.floor(scaled) / grid
-                    above = math.ceil(scaled) / grid
-                    raise ConfigError(
-                        f"{key}: {v!r} is not a multiple of 1/{grid} "
-                        f"(horizon {horizon}); nearest grid values are "
-                        f"{below!r} and {above!r}"
-                    )
-                entries.append(int(nearest))
-            if len(entries) != rounds:
-                raise ConfigError(
-                    f"{key}: expected {rounds} comma-separated values"
-                )
-            return tuple(entries)
-
-        initial = literal("wp", wp_values, (grid // 2,) * rounds)
-        anchor = literal("alpha-p", alpha_values, initial)
-        experiments.append((horizon, game, grid, rate, plays, adversary,
-                            initial, anchor))
-
-    rows = []
-    for (horizon, game, grid, rate, plays, adversary,
-         initial, anchor) in experiments:
+        adversary = _wrap_value_error(make_adversary, game, plays, bins=bins)
+        initial = _regret_start(settings, "wp", grid, horizon, (grid // 2,) * rounds)
+        anchor = _regret_start(settings, "alpha-p", grid, horizon, initial)
         config = _wrap_value_error(
-            LearnerConfig, owner="P", reg=reg, rate=rate,
+            LearnerConfig, owner="P", reg=settings["reg"],
+            rate=settings.get("rate", 1.0 / math.sqrt(horizon)),
             anchor=Strategy(anchor, grid), initial=Strategy(initial, grid),
             horizon=horizon,
         )
+        experiments.append((game, config, plays, adversary))
+
+    rows = []
+    for game, config, plays, adversary in experiments:
         state = make_learner(game, config)
         played = []
-        for t in range(horizon):
+        for play in plays:
             played.append(state.current)
-            values = plays[t]
-            scaled = [v * grid for v in values]
-            on_grid = all(
-                abs(s - math.floor(s + 0.5)) <= 1e-9 * max(1.0, grid)
-                for s in scaled
-            )
-            if on_grid:
-                opponent = Strategy(
-                    tuple(int(math.floor(s + 0.5)) for s in scaled), grid
-                )
-                step(state, opponent)
-            else:
-                state.cumulative = state.cumulative + \
-                    _grid_utilities_vs_value_play(game, "P", values)
-                state.steps += 1
-                state.current = (
-                    l1_update(state) if reg == 1 else l2_update(state)
-                )
-        result = external_regret(game, "P", played, adversary)
+            step(state, play)
+        regret = external_regret(game, "P", played, adversary)
         rows.append((
-            horizon,
-            result.regret_vs_grid,
-            result.regret_vs_continuous,
-            result.regret_vs_continuous / math.sqrt(horizon),
+            config.horizon, regret.regret_vs_grid, regret.regret_vs_continuous,
+            regret.regret_vs_continuous / math.sqrt(config.horizon),
         ))
 
-    write_csv(
-        args.out,
-        ["T", "regret_grid", "regret_continuous", "regret_per_sqrt_T"],
-        rows,
-    )
-    if args.manifest:
-        manifest = RunManifest(
-            command="regret", version=__version__, config=dict(res.resolved),
-            seed=None, grid_rounding=[],
-        )
-        write_json(args.manifest, manifest.as_dict())
+    header = ["T", "regret_grid", "regret_continuous", "regret_per_sqrt_T"]
+    write_csv(settings.args.out, header, rows)
     return EXIT_OK
 
 
@@ -913,35 +711,24 @@ def cmd_regret(args: argparse.Namespace) -> int:
 # verify-spe
 # ---------------------------------------------------------------------------
 
-def cmd_verify_spe(args: argparse.Namespace) -> int:
-    res = Resolver("verify-spe", args)
-    delta = res.get_float("delta", low=0.0, high=1.0)
-    tau = res.get_float("tau", low=0.0, high=1.0)
-    p = res.get_float("p", low=0.0, high=1.0)
-    w1 = res.get_float("w1", low=0.0, high=1.0)
-    w2 = res.get_float("w2", low=0.0, high=1.0)
-    z_rule = res.get_choice("z-rule", ("midpoint", "lower", "upper"))
-    scan_grid = res.get_int("scan-grid", minimum=10)
-    _check_writable(args.out)
-    _check_writable(args.manifest)
-
-    params = _wrap_value_error(MarketParams, delta=delta, tau=tau, p=p)
-    target = _wrap_value_error(PayoffTarget, w1=w1, w2=w2)
+def cmd_verify_spe(settings: Settings) -> int:
+    params = _wrap_value_error(
+        MarketParams, delta=settings["delta"], tau=settings["tau"], p=settings["p"]
+    )
+    target = PayoffTarget(w1=settings["w1"], w2=settings["w2"])
     violations = feasibility_violations(params, target)
     if violations:
         raise ConfigError(f"target infeasible: {', '.join(violations)}")
 
-    cert = construct_certificate(params, target, z_rule=z_rule)
+    cert = construct_certificate(params, target, z_rule=settings["z-rule"])
     stationary = prop2_check(cert, params)
-    deviations = one_shot_deviation_scan(cert, params, scan_grid=scan_grid)
+    deviations = one_shot_deviation_scan(cert, params, scan_grid=settings["scan-grid"])
     w_f, w_c1, w_c2 = expected_match_payoffs(cert)
 
-    reported = []
-    for dev in deviations[:MAX_REPORTED_DEVIATIONS]:
-        entry = dev._asdict()
-        if entry["offer"] is not None and math.isnan(entry["offer"]):
-            entry["offer"] = None
-        reported.append(entry)
+    reported = [
+        {**dev._asdict(), "offer": None if math.isnan(dev.offer) else dev.offer}
+        for dev in deviations[:MAX_REPORTED_DEVIATIONS]
+    ]
     document = {
         "feasible": True,
         "violations": [],
@@ -956,13 +743,7 @@ def cmd_verify_spe(args: argparse.Namespace) -> int:
         },
         "expected_payoffs": {"W_f": w_f, "W_c1": w_c1, "W_c2": w_c2},
     }
-    write_json(args.out, document)
-    if args.manifest:
-        manifest = RunManifest(
-            command="verify-spe", version=__version__,
-            config=dict(res.resolved), seed=None, grid_rounding=[],
-        )
-        write_json(args.manifest, manifest.as_dict())
+    write_json(settings.args.out, document)
     clean = stationary and not deviations
     return EXIT_OK if clean else EXIT_NO_CONVERGENCE
 
@@ -971,67 +752,33 @@ def cmd_verify_spe(args: argparse.Namespace) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value file or run-manifest JSON")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--manifest", help="write the resolved run manifest here")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser: one flag per ``OPTIONS`` entry, plus ``--config``."""
     parser = argparse.ArgumentParser(
         prog="bargainlab",
         description="Bargaining-game learning and equilibrium laboratory.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    version = f"%(prog)s {__version__}"
+    parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="one self-play learning run")
-    for flag in ("--rounds", "--delta", "--grid", "--rate", "--reg",
-                 "--horizon", "--wp", "--wr", "--alpha-p", "--alpha-r"):
-        run.add_argument(flag)
-    run.add_argument("--trace", action="store_true", default=None,
-                     help="embed the full trajectory in the record")
-    run.add_argument("--snap", action="store_true", default=None,
-                     help="round off-grid strategy literals to the grid")
-    _add_common(run)
-    run.set_defaults(func=cmd_run)
-
-    sweep = sub.add_parser("sweep", help="sweep initial strategies")
-    for flag in ("--rounds", "--delta", "--grid", "--rate", "--reg",
-                 "--horizon", "--wp", "--wr", "--wp-values", "--wr-values",
-                 "--alpha-p", "--alpha-r", "--agg", "--agg-payoff", "--jobs"):
-        sweep.add_argument(flag)
-    sweep.add_argument("--snap", action="store_true", default=None)
-    sweep.add_argument("--agg-out", help="aggregated CSV path")
-    sweep.add_argument("--svg", help="heatmap SVG path (requires --agg)")
-    _add_common(sweep)
-    sweep.set_defaults(func=cmd_sweep)
-
-    region = sub.add_parser("spe-region", help="map feasible market targets")
-    for flag in ("--delta", "--tau", "--p", "--mode", "--resolution",
-                 "--samples", "--seed"):
-        region.add_argument(flag)
-    _add_common(region)
-    region.set_defaults(func=cmd_spe_region)
-
-    regret = sub.add_parser("regret", help="regret vs scripted adversaries")
-    for flag in ("--rounds", "--delta", "--reg", "--horizons", "--adversary",
-                 "--grid", "--rate", "--wp", "--alpha-p"):
-        regret.add_argument(flag)
-    _add_common(regret)
-    regret.set_defaults(func=cmd_regret)
-
-    verify = sub.add_parser(
-        "verify-spe", help="verify one market target end to end"
-    )
-    for flag in ("--delta", "--tau", "--p", "--w1", "--w2", "--z-rule",
-                 "--scan-grid"):
-        verify.add_argument(flag)
-    _add_common(verify)
-    verify.set_defaults(func=cmd_verify_spe)
-
+    commands = {
+        "run": (cmd_run, "one self-play learning run"),
+        "sweep": (cmd_sweep, "sweep initial strategies"),
+        "spe-region": (cmd_spe_region, "map feasible market targets"),
+        "regret": (cmd_regret, "regret vs scripted adversaries"),
+        "verify-spe": (cmd_verify_spe, "verify one market target end to end"),
+    }
+    for command, (handler, help_text) in commands.items():
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("--config", help="key=value file or run-manifest JSON")
+        for opt in OPTIONS[command]:
+            if opt.kind == "bool":
+                cmd.add_argument(
+                    f"--{opt.key}", action="store_true", default=None, help=opt.help
+                )
+            else:
+                cmd.add_argument(f"--{opt.key}", help=opt.help)
+        cmd.set_defaults(func=handler)
     return parser
 
 
@@ -1040,15 +787,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None or code == 0:
-            return EXIT_OK
-        return EXIT_INVALID
+        return EXIT_OK if exc.code in (None, 0) else EXIT_INVALID
     try:
-        return args.func(args)
+        settings = Settings(args)
+        code = args.func(settings)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if args.manifest:
+        write_json(args.manifest, settings.manifest().as_dict())
+    return code
 
 
 def entrypoint() -> None:

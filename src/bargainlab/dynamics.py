@@ -29,24 +29,19 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from bargainlab.ftrl import (
-    LearnerConfig,
-    MixedStrategy,
-    Play,
-    make_learner,
-    step,
-)
+from bargainlab.ftrl import LearnerConfig, Play, make_learner, step
 from bargainlab.game import (
     PAYOFF_TOL,
     GameConfig,
     Strategy,
-    _entries_matrix,
     _outcome_tables,
     is_pure_ne,
     payoff_matrices,
     play as play_game,
+    snap_share,
     strategy_from_index,
     strategy_index,
+    value_play_utilities,
 )
 
 # ---------------------------------------------------------------------------
@@ -480,17 +475,6 @@ class G1Classification:
     t_prime_bound: Fraction | None = None
 
 
-def _grid_fraction(game: GameConfig, name: str, v) -> Fraction:
-    """Snap a share in (0, 1) to its exact grid fraction."""
-    D = game.grid
-    num = round(float(v) * D)
-    if abs(float(v) - num / D) > 1e-9:
-        raise ValueError(f"{name}={v} is not a grid value (denominator {D})")
-    if not 0 < num < D:
-        raise ValueError(f"{name}={v} must lie strictly between 0 and 1")
-    return Fraction(int(num), D)
-
-
 def classify_g1(
     game: GameConfig,
     w_p1,
@@ -498,7 +482,6 @@ def classify_g1(
     alpha_p,
     alpha_r,
     rate: float,
-    b_coefficient: int = 2,
 ) -> G1Classification:
     """Predict where and when one-round pure self-play settles.
 
@@ -521,9 +504,9 @@ def classify_g1(
       eps*[alpha_p = p_min] with t_base = (2(1-p_min)-(1-p_max)) /
       (p_max-p_min) and eps = 2/(rate*(p_max-p_min)); settlement at
       floor(bound)+1.
-    * When 1-p_min > b*(1-p_max) (default b=2) the dwell phase never
-      starts and settlement lands at t=3, as it does when the anchor equals
-      p_min and 1-p_min = 2(1-p_max) exactly.
+    * When 1-p_min > 2(1-p_max) the dwell phase never starts and
+      settlement lands at t=3, as it does when the anchor equals p_min and
+      1-p_min = 2(1-p_max) exactly.
 
     All arithmetic is exact (Fraction), so the floor is never subject to
     rounding noise.  The settled share is always p_min = min{w_r1, w_p1,
@@ -535,10 +518,17 @@ def classify_g1(
         raise ValueError(
             f"rate must exceed twice the grid denominator ({2 * game.grid})"
         )
-    w_p = _grid_fraction(game, "w_p1", w_p1)
-    w_r = _grid_fraction(game, "w_r1", w_r1)
-    a_p = _grid_fraction(game, "alpha_p", alpha_p)
-    a_r = _grid_fraction(game, "alpha_r", alpha_r)
+    D = game.grid
+    shares = []
+    for name, v in (("w_p1", w_p1), ("w_r1", w_r1), ("alpha_p", alpha_p),
+                    ("alpha_r", alpha_r)):
+        num, exact = snap_share(float(v), D)
+        if not exact:
+            raise ValueError(f"{name}={v} is not a grid value (denominator {D})")
+        if not 0 < num < D:
+            raise ValueError(f"{name}={v} must lie strictly between 0 and 1")
+        shares.append(Fraction(num, D))
+    w_p, w_r, a_p, a_r = shares
 
     m = min(a_r, w_p)
     p_min = min(m, w_r)
@@ -548,7 +538,7 @@ def classify_g1(
         t = 1 if w_p == w_r else 2
         return G1Classification(p_min, p_max, "C1", t, p_min)
 
-    dwell_skipped = (1 - p_min) > b_coefficient * (1 - p_max)
+    dwell_skipped = (1 - p_min) > 2 * (1 - p_max)
     anchor_low_boundary = (a_p == p_min) and ((1 - p_min) == 2 * (1 - p_max))
     if dwell_skipped or anchor_low_boundary:
         return G1Classification(p_min, p_max, "C1", 3, p_min)
@@ -579,8 +569,10 @@ def theorem5_preconditions(
 ) -> bool:
     """Sufficient conditions for two-round self-play to settle on a pure NE.
 
-    All comparisons are exact: the discount factor is taken at its binary
-    float value and compared in rational arithmetic.  Conditions:
+    All comparisons are exact: the discount factor is read as the decimal
+    it is written as (``Fraction(str(delta))``, so 0.9 is 9/10, as the exact
+    oracles and the engine's tie band treat it) and compared in rational
+    arithmetic.  Conditions:
 
     * grid fine enough that 1/D < 1 - delta;
     * the responder's opening pair prefers its round-1 deal to waiting:
@@ -596,7 +588,7 @@ def theorem5_preconditions(
     for s in (initial_P, initial_R, anchor_P, anchor_R):
         if s.denom != D or len(s.entries) != 2:
             raise ValueError("strategies must be two-round strategies on the game grid")
-    delta = Fraction(game.delta)
+    delta = Fraction(str(game.delta))
     if Fraction(1, D) >= 1 - delta:
         return False
     w_p1, w_p2 = (Fraction(e, D) for e in initial_P.entries)
@@ -686,31 +678,6 @@ def make_adversary(
     return AdversarySchedule(game=game, bins=bins_t, plays=plays_t, spacing=spacing)
 
 
-def _grid_utilities_vs_value_play(
-    game: GameConfig, owner: str, adversary_values: Sequence[float]
-) -> np.ndarray:
-    """Utility of every own grid strategy against one real-valued opponent play."""
-    em = _entries_matrix(game)
-    vals = em / game.grid  # (N, n)
-    N = vals.shape[0]
-    util = np.zeros(N)
-    alive = np.ones(N, dtype=bool)
-    for k in range(1, game.rounds + 1):
-        own_proposes = (k % 2 == 1) == (owner == "P")
-        a = adversary_values[k - 1]
-        if own_proposes:
-            offers = vals[:, k - 1]
-            deal = alive & (offers >= a)
-            shares_own = 1.0 - offers[deal]
-        else:
-            deal = alive & (a >= vals[:, k - 1])
-            # opponent offered a; the accepted offer goes to the round responder
-            shares_own = np.full(int(deal.sum()), a)
-        util[deal] = game.delta ** (k - 1) * shares_own
-        alive &= ~deal
-    return util
-
-
 def _candidate_utilities(
     game: GameConfig,
     owner: str,
@@ -718,20 +685,9 @@ def _candidate_utilities(
     adversary_plays: Sequence[Sequence[float]],
 ) -> np.ndarray:
     """Cumulative utility of each real-valued candidate over the schedule."""
-    C = candidates.shape[0]
-    total = np.zeros(C)
+    total = np.zeros(candidates.shape[0])
     for a in adversary_plays:
-        alive = np.ones(C, dtype=bool)
-        for k in range(1, game.rounds + 1):
-            own_proposes = (k % 2 == 1) == (owner == "P")
-            if own_proposes:
-                deal = alive & (candidates[:, k - 1] >= a[k - 1])
-                gain = game.delta ** (k - 1) * (1.0 - candidates[deal, k - 1])
-            else:
-                deal = alive & (a[k - 1] >= candidates[:, k - 1])
-                gain = game.delta ** (k - 1) * a[k - 1]
-            total[deal] += gain
-            alive &= ~deal
+        total += value_play_utilities(game, owner, a, candidates)
     return total
 
 
@@ -771,7 +727,7 @@ def external_regret(
     cum_grid = np.zeros(game.strategy_count)
     earned = 0.0
     for own_play, adv in zip(played, adversary.plays):
-        u = _grid_utilities_vs_value_play(game, owner, adv)
+        u = value_play_utilities(game, owner, adv)
         cum_grid += u
         earned += float(_weights_of(game, own_play) @ u)
     regret_grid = float(cum_grid.max() - earned)

@@ -31,8 +31,10 @@ from bargainlab.game import (
     GameConfig,
     Strategy,
     payoff_matrices,
+    snap_share,
     strategy_from_index,
     strategy_index,
+    value_play_utilities,
 )
 
 
@@ -170,14 +172,25 @@ def make_learner(game: GameConfig, config: LearnerConfig) -> LearnerState:
     )
 
 
-def _feedback(state: LearnerState, opponent_play: Play) -> np.ndarray:
-    U_P, U_R = payoff_matrices(state.game)
+def _feedback(
+    state: LearnerState, opponent_play: Play | tuple[float, ...]
+) -> np.ndarray:
+    game, owner = state.game, state.config.owner
+    if isinstance(opponent_play, tuple):
+        values = opponent_play
+        if len(values) != game.rounds or not all(0 <= v <= 1 for v in values):
+            raise ValueError(f"need {game.rounds} shares in [0, 1], got {values!r}")
+        snapped = [snap_share(v, game.grid) for v in values]
+        if not all(exact for _, exact in snapped):
+            return value_play_utilities(game, owner, values)
+        opponent_play = Strategy(tuple(e for e, _ in snapped), game.grid)
+    U_P, U_R = payoff_matrices(game)
     if isinstance(opponent_play, Strategy):
-        j = strategy_index(state.game, opponent_play)
-        return U_P[:, j] if state.config.owner == "P" else U_R[j, :]
+        j = strategy_index(game, opponent_play)
+        return U_P[:, j] if owner == "P" else U_R[j, :]
     if isinstance(opponent_play, MixedStrategy):
         w = opponent_play.weights
-        return U_P @ w if state.config.owner == "P" else U_R.T @ w
+        return U_P @ w if owner == "P" else U_R.T @ w
     raise TypeError(f"opponent play must be Strategy or MixedStrategy, got {opponent_play!r}")
 
 
@@ -212,13 +225,18 @@ def l2_update(state: LearnerState) -> MixedStrategy:
     return MixedStrategy(state.game, project_to_simplex(v))
 
 
-def step(state: LearnerState, opponent_play: Play) -> LearnerState:
+def step(
+    state: LearnerState, opponent_play: Play | tuple[float, ...]
+) -> LearnerState:
     """Consume one round of opponent play and advance the learner.
 
     The strategy the learner used this round is ``state.current`` *before*
     the call; afterwards ``state.current`` holds next round's play.  Feedback
     is the full counterfactual utility vector, so it does not depend on the
-    learner's own play.
+    learner's own play.  ``opponent_play`` is a pure or mixed play, or a
+    tuple of real shares, one per round: a tuple on the grid (per
+    :func:`snap_share`) counts as that pure strategy, any other is scored by
+    :func:`value_play_utilities`.
     """
     if state.steps >= state.config.horizon:
         raise HorizonExceededError(

@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -64,6 +64,17 @@ class GameConfig:
         return np.arange(self.grid + 1) / self.grid
 
 
+def snap_share(share: float, grid: int) -> tuple[int, bool]:
+    """Nearest grid numerator of ``share`` and whether the share is on the grid.
+
+    The numerator is ``floor(share * grid + 1/2)`` (ties round up), clamped to
+    [0, grid].  A share within 1e-9 of that grid point counts as on the grid.
+    """
+    scaled = share * grid
+    nearest = min(max(math.floor(scaled + 0.5), 0), grid)
+    return int(nearest), abs(scaled - nearest) <= 1e-9 * max(1.0, grid)
+
+
 @dataclass(frozen=True)
 class Strategy:
     """A pure strategy: one grid share per round, stored as integer numerators.
@@ -97,37 +108,35 @@ class Strategy:
         values: Iterable[float],
         denom: int,
         snap: str = "exact",
-        tol: float = 1e-9,
     ) -> "Strategy":
         """Build a strategy from share values in [0, 1].
 
-        ``snap`` controls off-grid values: "exact" rejects them, "floor" /
-        "ceil" round toward the named side, "nearest" rounds half away from
-        zero.  Values outside [0, 1] are always rejected.
+        ``snap`` controls off-grid values (as :func:`snap_share` decides
+        them): "exact" rejects them, "floor" / "ceil" round toward the named
+        side, "nearest" rounds half up.  Values outside [0, 1] are always
+        rejected.
         """
+        if snap not in ("exact", "floor", "ceil", "nearest"):
+            raise ValueError(f"unknown snap mode {snap!r}")
         entries = []
         for v in values:
             v = float(v)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"share {v} outside [0, 1]")
-            scaled = v * denom
-            if snap == "exact":
-                e = round(scaled)
-                if abs(scaled - e) > tol:
+            e, exact = snap_share(v, denom)
+            if not exact:
+                scaled = v * denom
+                if snap == "exact":
                     lo, hi = math.floor(scaled), math.ceil(scaled)
                     raise ValueError(
                         f"share {v} is not a multiple of 1/{denom}; nearest "
                         f"grid values are {lo}/{denom} and {hi}/{denom}"
                     )
-            elif snap == "floor":
-                e = math.floor(scaled + tol)
-            elif snap == "ceil":
-                e = math.ceil(scaled - tol)
-            elif snap == "nearest":
-                e = math.floor(scaled + 0.5)
-            else:
-                raise ValueError(f"unknown snap mode {snap!r}")
-            entries.append(int(min(max(e, 0), denom)))
+                if snap == "floor":
+                    e = math.floor(scaled)
+                elif snap == "ceil":
+                    e = math.ceil(scaled)
+            entries.append(e)
         return cls(tuple(entries), denom)
 
     @property
@@ -221,6 +230,34 @@ def continuous_play(
                 return Outcome(k, offer, prop_pay, resp_pay, None)
             return Outcome(k, offer, resp_pay, prop_pay, None)
     return Outcome(None, None, 0.0, 0.0, None)
+
+
+def value_play_utilities(
+    cfg: GameConfig,
+    owner: Owner,
+    opponent: Sequence[float],
+    own: np.ndarray | None = None,
+) -> np.ndarray:
+    """Utility of each own strategy against one real-valued opponent play.
+
+    ``own`` is an (n, rounds) array of real shares, one strategy per row; by
+    default it is every grid strategy in flat-index order.  ``opponent``
+    holds one share per round.  Same rules as :func:`continuous_play`.
+    """
+    if own is None:
+        own = _entries_matrix(cfg) / cfg.grid
+    util = np.zeros(own.shape[0])
+    alive = np.ones(own.shape[0], dtype=bool)
+    for k in range(1, cfg.rounds + 1):
+        a = opponent[k - 1]
+        if (k % 2 == 1) == (owner == "P"):  # own offer, opponent threshold
+            deal = alive & (own[:, k - 1] >= a)
+            util[deal] = cfg.delta ** (k - 1) * (1.0 - own[deal, k - 1])
+        else:  # opponent offers a to the own threshold
+            deal = alive & (a >= own[:, k - 1])
+            util[deal] = cfg.delta ** (k - 1) * a
+        alive &= ~deal
+    return util
 
 
 # ---------------------------------------------------------------------------

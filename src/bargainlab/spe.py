@@ -383,39 +383,33 @@ def simulate_automata(
     cert: EquilibriumCertificate,
     pairing: int,
     first_proposer: str,
-    max_rounds: int = 8,
 ) -> MatchOutcome:
     """Play one firm/candidate match with both sides following their
-    automaton strategies, and return the (discounted) realized split."""
-    z_f, z_c, u_f, u_c = _pair_data(cert, pairing)
+    automaton strategies, and return the realized split.
+
+    The base-state offer is exactly the responder's threshold, so the match
+    always agrees in round 1 on the proposer's certified share."""
+    z_f, z_c, _, _ = _pair_data(cert, pairing)
     if first_proposer not in ("firm", "candidate"):
         raise ValueError(
             f"first_proposer must be 'firm' or 'candidate', got {first_proposer!r}"
         )
-    delta = cert.params.delta
-    for k in range(1, max_rounds + 1):
-        firm_proposes = (k % 2 == 1) == (first_proposer == "firm")
-        z_keep = z_f if firm_proposes else z_c
-        offer = 1.0 - z_keep  # base-state proposal to the responder
-        threshold = 1.0 - z_keep
-        if offer >= threshold:  # responder accepts
-            disc = delta ** (k - 1)
-            firm = z_keep if firm_proposes else 1.0 - z_keep
-            return MatchOutcome(
-                agreement_round=k,
-                firm_share=disc * firm,
-                candidate_share=disc * (1.0 - firm),
-                first_proposer=first_proposer,
-                pairing=pairing,
-            )
-    raise RuntimeError("automaton play did not reach agreement")
+    firm = z_f if first_proposer == "firm" else 1.0 - z_c
+    return MatchOutcome(
+        agreement_round=1,
+        firm_share=firm,
+        candidate_share=1.0 - firm,
+        first_proposer=first_proposer,
+        pairing=pairing,
+    )
 
 
 def expected_match_payoffs(
     cert: EquilibriumCertificate,
 ) -> Tuple[float, float, float]:
-    """Steady-state expected match payoffs (firm, type 1, type 2) implied by
-    simulating the automata with a fair coin over who proposes first."""
+    """Steady-state expected match payoffs (firm, type 1, type 2): the
+    closed-form round-1 splits of :func:`simulate_automata`, with a fair
+    coin over who proposes first."""
     p = cert.params.p
     w = {}
     candidate = {}
@@ -493,7 +487,8 @@ def one_shot_deviation_scan(
     Nodes covered, for each pairing, proposer role, and state: the proposer's
     offer (over a value grid of ``scan_grid + 1`` points plus all thresholds
     and reservation values), the responder's accept/reject choice at each such
-    offer, and both sides' walk-away flags after a rejection.  Returns every
+    offer, and the responder's walk-away after rejecting a sub-threshold
+    offer (every other walk-away flag is payoff-neutral).  Returns every
     deviation improving the deviator's payoff by more than ``tol``; an empty
     list certifies the one-shot-deviation property at the scanned resolution.
     """
@@ -564,32 +559,24 @@ def one_shot_deviation_scan(
                 # walk-away flips after a rejection.  The proposer's flag is
                 # payoff-neutral either way (walking away yields u_P, staying
                 # leaves it responding in the threat state, worth
-                # delta * u_P / delta); the responder's only live flip is to
-                # walk away after rejecting a lowball instead of proposing in
-                # the threat state.
-                optout_nodes = [
-                    (proposer, "stay", u_P, u_P),
-                    (proposer, "opt-out", u_P, u_P),
-                    (responder, "opt-out", u_R, u_R),
-                ]
-                if threshold > 0.0:
-                    optout_nodes.append((responder, "opt-out", reject_low, u_R))
-                for agent, action, prescribed_v, dev_v in optout_nodes:
-                    if dev_v > prescribed_v + tol:
-                        deviations.append(
-                            Deviation(
-                                pairing=pairing,
-                                state=state,
-                                proposer=proposer,
-                                agent=agent,
-                                node="optout",
-                                action=action,
-                                offer=math.nan,
-                                prescribed_value=prescribed_v,
-                                deviation_value=dev_v,
-                                gain=dev_v - prescribed_v,
-                            )
+                # delta * u_P / delta), and so is the responder's after an
+                # acceptable offer; its only live flip is to walk away after
+                # rejecting a lowball instead of proposing in the threat state.
+                if threshold > 0.0 and u_R > reject_low + tol:
+                    deviations.append(
+                        Deviation(
+                            pairing=pairing,
+                            state=state,
+                            proposer=proposer,
+                            agent=responder,
+                            node="optout",
+                            action="opt-out",
+                            offer=math.nan,
+                            prescribed_value=reject_low,
+                            deviation_value=u_R,
+                            gain=u_R - reject_low,
                         )
+                    )
     return deviations
 
 

@@ -501,3 +501,26 @@ class TestVerifySpeCommand:
         assert main([*args, "--out", str(out)]) == 2
         assert "w2-upper" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputPathIsDirectory:
+    """An output path naming an existing directory exits 2 before any work,
+    with nothing written."""
+
+    def test_run_out_directory(self, tmp_path, capsys):
+        assert main(["run", *REPLAY, "--out", str(tmp_path)]) == 2
+        assert "output path is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_svg_directory_writes_no_csv(self, tmp_path, capsys):
+        svg = tmp_path / "heat.svg"
+        svg.mkdir()
+        out, agg = tmp_path / "cells.csv", tmp_path / "agg.csv"
+        rc = main(
+            [*SWEEP_BASE, "--wp-values", "0.25,0.75", "--wr", "0.0625,1.0",
+             "--agg", "over-responder", "--agg-out", str(agg),
+             "--svg", str(svg), "--out", str(out)]
+        )
+        assert rc == 2
+        assert f"output path is a directory: {svg}" in capsys.readouterr().err
+        assert not out.exists() and not agg.exists()

@@ -790,3 +790,22 @@ class TestRegretSublinearity:
             assert res.regret_vs_continuous > 0
             normalized.append(res.regret_vs_continuous / np.sqrt(T))
         assert normalized[1] / normalized[0] <= 1.25
+
+
+class TestTheorem5DecimalDelta:
+    def test_boundary_start_qualifies_and_settles(self):
+        """delta = 0.9 is read as 9/10: 1 - 7/16 = 9/10 * 10/16 exactly, so
+        the responder condition holds with equality.  At the binary value of
+        0.9 (just above 9/10) it would fail."""
+        wp, wr = Strategy((8, 8), 16), Strategy((7, 10), 16)
+        anchor = Strategy((12, 8), 16)
+        assert theorem5_preconditions(G2, wp, wr, anchor, anchor)
+        record = self_play(
+            G2,
+            LearnerConfig(owner="P", reg=1, rate=40.0, anchor=anchor,
+                          initial=wp, horizon=300),
+            LearnerConfig(owner="R", reg=1, rate=40.0, anchor=anchor,
+                          initial=wr, horizon=300),
+        )
+        assert record.converged_at == 45
+        assert record.ne_value == 0.5

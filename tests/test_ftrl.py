@@ -22,7 +22,13 @@ from bargainlab.ftrl import (
     project_to_simplex,
     step,
 )
-from bargainlab.game import GameConfig, Strategy, feedback_vector, strategy_index
+from bargainlab.game import (
+    GameConfig,
+    Strategy,
+    feedback_vector,
+    strategy_index,
+    value_play_utilities,
+)
 
 RNG = np.random.default_rng(7130)
 
@@ -312,3 +318,23 @@ def test_deterministic_replay():
             step(state, p)
         results.append(seq)
     assert results[0] == results[1]
+
+
+def test_step_real_valued_play():
+    """An on-grid tuple is that pure strategy, bit for bit; an off-grid one
+    is scored by the value-play kernel."""
+    game = GameConfig(rounds=2, grid=4, delta=0.8)
+    cfg = LearnerConfig("P", 2, 0.5, Strategy((2, 2), 4), Strategy((2, 2), 4), 10)
+    by_tuple, by_strategy = make_learner(game, cfg), make_learner(game, cfg)
+    step(by_tuple, (0.25, 1.0))
+    step(by_strategy, Strategy((1, 4), 4))
+    assert np.array_equal(by_tuple.cumulative, by_strategy.cumulative)
+    assert np.array_equal(by_tuple.current.weights, by_strategy.current.weights)
+    off_grid = make_learner(game, cfg)
+    step(off_grid, (0.3, 0.9))
+    np.testing.assert_array_equal(
+        off_grid.cumulative, value_play_utilities(game, "P", (0.3, 0.9))
+    )
+    for bad in ((0.5,), (0.5, 1.5)):
+        with pytest.raises(ValueError):
+            step(off_grid, bad)

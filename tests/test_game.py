@@ -25,8 +25,10 @@ from bargainlab.game import (
     is_pure_ne,
     payoff_matrices,
     play,
+    snap_share,
     strategy_from_index,
     strategy_index,
+    value_play_utilities,
 )
 
 RNG = np.random.default_rng(20260822)
@@ -352,3 +354,39 @@ def test_play_payoff_identities(rounds, grid, delta, seed):
         assert out.responder_share == pytest.approx(
             out.offer_index / grid, abs=1e-15
         )
+
+
+def test_snap_share_rule():
+    # half-up rounding, clamped to the grid, 1e-9 on the share counts as on it
+    assert snap_share(0.25, 4) == (1, True)
+    assert snap_share(0.25 + 5e-10, 4) == (1, True)
+    assert snap_share(0.25 + 2e-9, 4) == (1, False)
+    assert snap_share(0.375, 4) == (2, False)  # 1.5 rounds up
+    assert snap_share(0.3, 4) == (1, False)
+    assert snap_share(1.0 + 1e-10, 4) == (4, True)
+    assert snap_share(-1e-10, 4) == (0, True)
+
+
+def test_value_play_utilities_match_continuous_play():
+    """Each row of the kernel equals ``continuous_play`` of that strategy."""
+    for rounds, grid in [(1, 4), (2, 5), (3, 3)]:
+        cfg = GameConfig(rounds=rounds, grid=grid, delta=0.7)
+        own = RNG.random((20, rounds))
+        own[:5] = RNG.integers(0, grid + 1, (5, rounds)) / grid
+        for _ in range(10):
+            opp = tuple(float(v) for v in RNG.random(rounds))
+            for owner in ("P", "R"):
+                util = value_play_utilities(cfg, owner, opp, own)
+                for row, u in zip(own, util):
+                    mine = tuple(float(v) for v in row)
+                    if owner == "P":
+                        out = continuous_play(rounds, 0.7, mine, opp)
+                        assert u == out.payoff_P
+                    else:
+                        assert u == continuous_play(rounds, 0.7, opp, mine).payoff_R
+            grid_util = value_play_utilities(cfg, "P", opp)
+            assert grid_util.shape == (cfg.strategy_count,)
+            for i in RNG.integers(0, cfg.strategy_count, 5):
+                s = strategy_from_index(cfg, int(i))
+                out = continuous_play(rounds, 0.7, s.values, opp)
+                assert grid_util[i] == out.payoff_P

@@ -513,3 +513,19 @@ class TestMultiMarket:
             multi_discriminatory(2, 2, delta=0.9, tau=0.5)  # regime violated
         with pytest.raises(ValueError):
             multi_discriminatory(2, 2, delta=0.9, tau=0.3, target_candidate=5)
+
+
+def test_high_outside_option_triggers_responder_walk_away():
+    # an outside option u_c1 above delta - u_f makes walking away after
+    # rejecting a lowball better than proposing in the threat state, for the
+    # candidate facing the firm and (with u_f above delta - u_c1) vice versa
+    cert = construct_certificate(MP, TGT)
+    broken = dataclasses.replace(cert, u_c1=MP.delta - cert.u_f + 0.02)
+    devs = one_shot_deviation_scan(broken, MP, scan_grid=200)
+    walk = {(d.agent, d.state) for d in devs if d.node == "optout"}
+    assert walk == {(agent, state) for agent in ("firm", "candidate")
+                    for state in ("base", "threat")}
+    for d in devs:
+        if d.node == "optout":
+            assert d.agent != d.proposer and d.pairing == 1
+            assert d.action == "opt-out" and np.isnan(d.offer)
