@@ -21,6 +21,7 @@ without convergence.  No output file is written when validation fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -186,8 +187,8 @@ class Settings(dict):
     Parsing also gathers what the run manifest records: the canonical text
     of each setting (``config``; replayed through ``--config`` it reproduces
     the run byte for byte), every snap of an off-grid literal (``rounding``)
-    and a sampling command's ``seed``.  Output paths are checked before any
-    work starts.
+    and a sampling command's ``seed``.  Output paths are checked, and must
+    name distinct files, before any work starts.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -204,10 +205,12 @@ class Settings(dict):
                 if key not in raw:
                     raise ConfigError(f"unknown configuration key: {key!r}")
             raw.update(file_cfg)
+        outputs: Dict[str, str] = {}
         for opt in OPTIONS[self.command]:
             flag = getattr(args, opt.key.replace("-", "_"))
             if opt.kind == "path":
-                _check_writable(flag)
+                if flag is not None:
+                    _check_output(outputs, opt.key, flag)
                 continue
             if flag is not None:
                 raw[opt.key] = "true" if flag is True else flag
@@ -317,9 +320,10 @@ def _off_grid(key: str, value: float, grid: int, where: str = "") -> ConfigError
     )
 
 
-def _check_writable(path: Optional[str]) -> None:
-    if path is None:
-        return
+def _check_output(seen: Dict[str, str], key: str, path: str) -> None:
+    """Check that ``key``'s output file can be written and that no output
+    in ``seen`` (real path -> key) names it too: of two outputs naming one
+    file, only the one written last would remain."""
     if os.path.isdir(path):
         raise ConfigError(f"output path is a directory: {path}")
     directory = os.path.dirname(path) or "."
@@ -327,6 +331,10 @@ def _check_writable(path: Optional[str]) -> None:
         raise ConfigError(f"output directory does not exist: {directory}")
     if not os.access(directory, os.W_OK):
         raise ConfigError(f"output directory is not writable: {directory}")
+    real = os.path.realpath(path)
+    if real in seen:
+        raise ConfigError(f"{seen[real]} and {key} name the same file: {path}")
+    seen[real] = key
 
 
 def _wrap_value_error(builder, *args, **kwargs):
@@ -752,8 +760,24 @@ def cmd_verify_spe(settings: Settings) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+COMMANDS = {
+    "run": "one self-play learning run",
+    "sweep": "sweep initial strategies",
+    "spe-region": "map feasible market targets",
+    "regret": "regret vs scripted adversaries",
+    "verify-spe": "verify one market target end to end",
+}
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser: one flag per ``OPTIONS`` entry, plus ``--config``."""
+    """The argparse parser: one flag per ``OPTIONS`` entry, plus ``--config``.
+
+    Built on the first call and reused by every later ``main()`` in the
+    process.  It holds no handler: ``main`` looks up ``cmd_<command>`` by
+    name at each call, so a module attribute replaced after the first call
+    is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="bargainlab",
         description="Bargaining-game learning and equilibrium laboratory.",
@@ -761,14 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     version = f"%(prog)s {__version__}"
     parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "run": (cmd_run, "one self-play learning run"),
-        "sweep": (cmd_sweep, "sweep initial strategies"),
-        "spe-region": (cmd_spe_region, "map feasible market targets"),
-        "regret": (cmd_regret, "regret vs scripted adversaries"),
-        "verify-spe": (cmd_verify_spe, "verify one market target end to end"),
-    }
-    for command, (handler, help_text) in commands.items():
+    for command, help_text in COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
         cmd.add_argument("--config", help="key=value file or run-manifest JSON")
         for opt in OPTIONS[command]:
@@ -778,19 +795,18 @@ def build_parser() -> argparse.ArgumentParser:
                 )
             else:
                 cmd.add_argument(f"--{opt.key}", help=opt.help)
-        cmd.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (None, 0) else EXIT_INVALID
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         settings = Settings(args)
-        code = args.func(settings)
+        code = handler(settings)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

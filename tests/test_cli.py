@@ -5,10 +5,13 @@ checks exit codes, emitted files, and determinism.  Exit-code contract:
 0 success, 2 invalid input, 3 completed without convergence.
 """
 
+import argparse
 import csv
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -524,3 +527,90 @@ class TestOutputPathIsDirectory:
         assert rc == 2
         assert f"output path is a directory: {svg}" in capsys.readouterr().err
         assert not out.exists() and not agg.exists()
+
+
+class TestOutputsNameOneFile:
+    """Two output options naming one file exit 2 before any work, with
+    nothing written (else the file would hold only the last write)."""
+
+    @pytest.mark.parametrize("argv", [
+        [*TestVerifySpeCommand.ARGS, "--out", "same.json", "--manifest", "same.json"],
+        ["spe-region", "--delta", "0.9", "--tau", "0.4", "--p", "0.5",
+         "--mode", "gaps", "--out", "g.csv", "--manifest", "./g.csv"],
+    ])
+    def test_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "out and manifest name the same file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+VERIFY_LOWER = [*TestVerifySpeCommand.ARGS, "--z-rule", "lower"]
+
+
+def _fresh_call(argv, cwd, env):
+    """Exit code of ``argv`` run by ``main`` in a new interpreter."""
+    code = "import sys; from bargainlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, capture_output=True,
+        env=env, timeout=60,
+    ).returncode
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; later calls reuse it and
+    must behave as a first call does."""
+
+    def test_later_calls_add_no_arguments(self, tmp_path, monkeypatch):
+        main([*VERIFY_LOWER, "--out", str(tmp_path / "first.json")])
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        assert main([*VERIFY_LOWER, "--out", str(tmp_path / "a.json")]) == 0
+        assert main(["run", *REPLAY, "--out", str(tmp_path / "b.json")]) == 0
+        assert main(["verify-spe", "--no-such-flag"]) == 2
+        assert calls == []
+
+    def test_bad_input_then_good_call_matches_fresh_call(
+        self, tmp_path, monkeypatch, child_env
+    ):
+        monkeypatch.chdir(tmp_path)
+        outputs = ["--out", "v.json", "--manifest", "m.json"]
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert _fresh_call([*VERIFY_LOWER, *outputs], fresh, child_env) == 0
+        assert main([*VERIFY_LOWER, "--no-such-flag"]) == 2
+        assert main([*VERIFY_LOWER, "--w2", "0.95", "--scan-grid", "5"]) == 2
+        assert main([*VERIFY_LOWER, *outputs]) == 0
+        for name in ("v.json", "m.json"):
+            assert (tmp_path / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_omitted_option_takes_its_default_again(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        out = ["--out", str(tmp_path / "v.json"), "--manifest", str(manifest)]
+        assert main([*VERIFY_LOWER, *out]) == 0
+        assert json.loads(manifest.read_text())["config"]["z-rule"] == "lower"
+        assert main([*TestVerifySpeCommand.ARGS, *out]) == 0
+        assert json.loads(manifest.read_text())["config"]["z-rule"] == "midpoint"
+
+    def test_jobs_default_follows_environment_between_calls(
+        self, tmp_path, monkeypatch
+    ):
+        manifest = tmp_path / "m.json"
+        argv = [
+            "sweep", "--rounds", "1", "--grid", "8", "--rate", "20", "--reg", "1",
+            "--horizon", "300", "--wp", "0.75", "--wr", "0.5",
+            "--alpha-p", "0.625", "--alpha-r", "0.875",
+            "--out", str(tmp_path / "s.csv"), "--manifest", str(manifest),
+        ]
+        monkeypatch.setenv("BARGAINLAB_JOBS", "2")
+        assert main(argv) == 0
+        assert json.loads(manifest.read_text())["config"]["jobs"] == "2"
+        monkeypatch.delenv("BARGAINLAB_JOBS")
+        assert main(argv) == 0
+        assert json.loads(manifest.read_text())["config"]["jobs"] == "1"
