@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .dynamics import batch_self_play, external_regret, make_adversary, self_play
-from .ftrl import LearnerConfig, MixedStrategy, Strategy, make_learner, step
+from .dynamics import batch_self_play, make_adversary, schedule_regret, self_play
+from .ftrl import LearnerConfig, MixedStrategy, Strategy
 from .game import GameConfig, snap_share, strategy_index
 from .reports import RunManifest, heatmap_svg, write_csv, write_json, write_text
 from .spe import (
@@ -643,8 +643,8 @@ def _adversary_plays(
                 f"adversary play {t} for horizon {horizon} must list "
                 f"{rounds} values"
             )
-        if not all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0
-                   for v in play):
+        _check_numbers(play, f"adversary play {t} for horizon {horizon}")
+        if not all(0.0 <= v <= 1.0 for v in play):
             raise ConfigError(
                 f"adversary play {t} for horizon {horizon} has a value "
                 "outside [0, 1]"
@@ -652,7 +652,22 @@ def _adversary_plays(
     bins = entry.get("bins")
     if bins is not None and not isinstance(bins, list):
         raise ConfigError(f"adversary bins for {horizon} must be a list")
+    for k, values in enumerate(bins or (), start=1):
+        if not isinstance(values, list):
+            raise ConfigError(
+                f"adversary bin {k} for horizon {horizon} must be a list of values"
+            )
+        _check_numbers(values, f"adversary bin {k} for horizon {horizon}")
     return [tuple(float(v) for v in play) for play in plays], bins
+
+
+def _check_numbers(values: list, what: str) -> None:
+    """JSON numbers only: ``true`` is not the share 1."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(
+                f"{what} has a value that is not a number: {json.dumps(v)}"
+            )
 
 
 def _regret_start(
@@ -695,16 +710,11 @@ def cmd_regret(settings: Settings) -> int:
             anchor=Strategy(anchor, grid), initial=Strategy(initial, grid),
             horizon=horizon,
         )
-        experiments.append((game, config, plays, adversary))
+        experiments.append((game, config, adversary))
 
     rows = []
-    for game, config, plays, adversary in experiments:
-        state = make_learner(game, config)
-        played = []
-        for play in plays:
-            played.append(state.current)
-            step(state, play)
-        regret = external_regret(game, "P", played, adversary)
+    for game, config, adversary in experiments:
+        regret = schedule_regret(game, config, adversary)
         rows.append((
             config.horizon, regret.regret_vs_grid, regret.regret_vs_continuous,
             regret.regret_vs_continuous / math.sqrt(config.horizon),

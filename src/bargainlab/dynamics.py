@@ -16,7 +16,9 @@ full counterfactual feedback of the round.  This module provides:
   guaranteed to settle on a pure equilibrium;
 * external-regret accounting against scripted adversaries whose values are
   constrained to spaced bins, measured against both the best grid strategy
-  and the best strategy from a finite continuous candidate set.
+  and the best strategy from a finite continuous candidate set, and a
+  schedule engine that plays one learner over an adversary's whole
+  schedule from value-play kernel rows, without payoff tables.
 """
 
 from __future__ import annotations
@@ -25,11 +27,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from bargainlab.ftrl import LearnerConfig, Play, make_learner, step
+from bargainlab.ftrl import (
+    LearnerConfig,
+    MixedStrategy,
+    Play,
+    grid_strategy,
+    make_learner,
+    project_rows_to_simplex,
+    step,
+)
 from bargainlab.game import (
     PAYOFF_TOL,
     GameConfig,
@@ -678,16 +688,48 @@ def make_adversary(
     return AdversarySchedule(game=game, bins=bins_t, plays=plays_t, spacing=spacing)
 
 
+#: Byte budget of the kernel rows a schedule keeps, most recently used first:
+#: a schedule whose distinct plays fit computes each play's row once.
+_ROW_CACHE_BYTES = 1 << 25
+
+
+def _schedule_rows(
+    game: GameConfig,
+    owner: str,
+    plays: Iterable[Sequence[float]],
+    own: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Each round's :func:`value_play_utilities` row against its play.
+
+    Rows are kept for reuse up to ``_ROW_CACHE_BYTES`` (at least one row),
+    the least recently used dropped first.  The rows yielded are shared: do
+    not write to them.
+    """
+    width = game.strategy_count if own is None else own.shape[0]
+    capacity = max(1, _ROW_CACHE_BYTES // (8 * width))
+    cache: dict = {}
+    for play in plays:
+        play = tuple(play)
+        row = cache.pop(play, None)
+        if row is None:
+            row = value_play_utilities(game, owner, play, own)
+            if len(cache) == capacity:
+                del cache[next(iter(cache))]
+        cache[play] = row
+        yield row
+
+
 def _candidate_utilities(
     game: GameConfig,
     owner: str,
     candidates: np.ndarray,
     adversary_plays: Sequence[Sequence[float]],
 ) -> np.ndarray:
-    """Cumulative utility of each real-valued candidate over the schedule."""
+    """Cumulative utility of each real-valued candidate over the schedule,
+    added up in schedule order."""
     total = np.zeros(candidates.shape[0])
-    for a in adversary_plays:
-        total += value_play_utilities(game, owner, a, candidates)
+    for row in _schedule_rows(game, owner, adversary_plays, candidates):
+        total += row
     return total
 
 
@@ -723,13 +765,95 @@ def external_regret(
         raise ValueError(
             f"played {len(played)} rounds but the schedule has {len(adversary.plays)}"
         )
+    return _regret(game, owner, adversary, (_weights_of(game, p) for p in played))
 
+
+def schedule_regret(
+    game: GameConfig, config: LearnerConfig, adversary: AdversarySchedule
+) -> RegretResult:
+    """External regret of one learner played over an adversary's schedule.
+
+    The result equals, bit for bit, stepping ``ftrl.step`` once per play of
+    ``adversary.plays`` from :func:`ftrl.make_learner` and passing the
+    strategies played to :func:`external_regret`.  The learner's feedback
+    does not depend on its own play, so its cumulative feedback is a
+    running sum of kernel rows, and each round's play a function of that
+    sum alone.  Rounds are played in blocks of at most ``_BLOCK_BYTES`` per
+    (rounds x strategies) array, kernel rows are kept for reuse up to
+    ``_ROW_CACHE_BYTES``, and no payoff table is built: array memory grows
+    neither with the horizon nor with the number of distinct plays.
+    """
+    if adversary.game != game:
+        raise ValueError("adversary was built for a different game")
+    if config.horizon != len(adversary.plays):
+        raise ValueError(
+            f"learner horizon {config.horizon} but the schedule has "
+            f"{len(adversary.plays)} plays"
+        )
+    make_learner(game, config)  # checks the anchor and initial play
+    return _regret(
+        game, config.owner, adversary,
+        _learner_weights(game, config, adversary.plays),
+    )
+
+
+def _learner_weights(
+    game: GameConfig,
+    config: LearnerConfig,
+    plays: Sequence[tuple[float, ...]],
+) -> Iterator[np.ndarray]:
+    """The learner's weights in each round of the schedule.
+
+    Round 1 plays ``config.initial``; round t + 1 plays the update rule of
+    ``ftrl.step`` applied to the feedback summed over rounds 1..t, where a
+    play on the grid is fed back at its grid values, as ``ftrl.step``
+    scores it.
+    """
+    fed = {}
+    for play in dict.fromkeys(plays):
+        strategy = grid_strategy(game, play)
+        fed[play] = play if strategy is None else strategy.values
+    feedback = _schedule_rows(game, config.owner, (fed[play] for play in plays))
+    n = game.strategy_count
+    anchor = strategy_index(game, config.anchor)
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    cum = np.zeros(n)
+    for lo in range(0, len(plays), block):
+        # sums[r]: the feedback of the rounds before round lo + r + 1
+        sums = np.empty((min(block, len(plays) - lo), n))
+        sums[0] = cum
+        for r in range(1, len(sums)):
+            np.add(sums[r - 1], next(feedback), out=sums[r])
+        cum = sums[-1] + next(feedback)
+        if config.reg == 1:
+            pick = _select(
+                _handicapped(sums, np.full(len(sums), anchor), 2.0 / config.rate),
+                PAYOFF_TOL,
+            )
+            weights = np.zeros_like(sums)
+            weights[np.arange(len(sums)), pick] = 1.0
+        else:
+            weights = config.rate * sums
+            weights[:, anchor] += 1.0
+            weights = project_rows_to_simplex(weights)
+            MixedStrategy.check_weights(weights)
+        if lo == 0:
+            weights[0] = _weights_of(game, config.initial)
+        yield from weights
+
+
+def _regret(
+    game: GameConfig,
+    owner: str,
+    adversary: AdversarySchedule,
+    weights: Iterable[np.ndarray],
+) -> RegretResult:
+    """Both regret bars of per-round own weights against the schedule."""
     cum_grid = np.zeros(game.strategy_count)
     earned = 0.0
-    for own_play, adv in zip(played, adversary.plays):
-        u = value_play_utilities(game, owner, adv)
+    for w, u in zip(weights, _schedule_rows(game, owner, adversary.plays)):
+        earned += float(w @ u)
         cum_grid += u
-        earned += float(_weights_of(game, own_play) @ u)
     regret_grid = float(cum_grid.max() - earned)
 
     per_round_candidates = []

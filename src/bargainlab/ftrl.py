@@ -42,24 +42,33 @@ class HorizonExceededError(RuntimeError):
     """Raised when a learner is stepped beyond its configured horizon."""
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex.
+def project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of a 2-D array onto the simplex.
 
-    Sort-based O(d log d) construction: with u the coordinates sorted
-    descending and css the shifted cumulative sums (cumsum(u) - 1), the
-    active-set size is the largest j with u_j > css_j / j, and every
+    Sort-based O(d log d) construction, row by row: with u the coordinates
+    sorted descending and css the shifted cumulative sums (cumsum(u) - 1),
+    the active-set size is the largest j with u_j > css_j / j, and every
     coordinate is pulled down by the corresponding multiplier and clipped
     at zero.
     """
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size == 0:
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2:
+        raise ValueError(f"expected a 2-D array of rows, got shape {v.shape}")
+    if v.shape[1] == 0:
         raise ValueError("cannot project an empty vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    j = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * j > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    d = v.shape[1]
+    rho = d - 1 - np.argmax((u * np.arange(1, d + 1) > css)[:, ::-1], axis=1)
+    theta = css[np.arange(v.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(v - theta[:, None], 0.0)
+
+
+def project_to_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a real vector onto the probability simplex:
+    the one-row case of :func:`project_rows_to_simplex`."""
+    v = np.asarray(v, dtype=np.float64).ravel()
+    return project_rows_to_simplex(v[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -75,13 +84,19 @@ class MixedStrategy:
             raise ValueError(
                 f"weights must have length {self.cfg.strategy_count}, got {w.shape}"
             )
-        if (w < -1e-12).any():
-            raise ValueError("mixed strategy weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("mixed strategy weights must sum to 1")
+        self.check_weights(w)
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @staticmethod
+    def check_weights(w: np.ndarray) -> None:
+        """Raise ValueError unless every row of ``w`` is a distribution up to
+        rounding: weights >= -1e-12 and a sum within 1e-9 of 1."""
+        if (w < -1e-12).any():
+            raise ValueError("mixed strategy weights must be nonnegative")
+        if (np.abs(w.sum(axis=-1) - 1.0) > 1e-9).any():
+            raise ValueError("mixed strategy weights must sum to 1")
 
     def support(self, tol: float = 1e-12) -> list[tuple[Strategy, float]]:
         return [
@@ -172,6 +187,15 @@ def make_learner(game: GameConfig, config: LearnerConfig) -> LearnerState:
     )
 
 
+def grid_strategy(game: GameConfig, values: tuple[float, ...]) -> Strategy | None:
+    """The grid strategy a tuple of shares counts as, or None when a share
+    is off the grid (per :func:`snap_share`)."""
+    snapped = [snap_share(v, game.grid) for v in values]
+    if not all(exact for _, exact in snapped):
+        return None
+    return Strategy(tuple(e for e, _ in snapped), game.grid)
+
+
 def _feedback(
     state: LearnerState, opponent_play: Play | tuple[float, ...]
 ) -> np.ndarray:
@@ -180,10 +204,9 @@ def _feedback(
         values = opponent_play
         if len(values) != game.rounds or not all(0 <= v <= 1 for v in values):
             raise ValueError(f"need {game.rounds} shares in [0, 1], got {values!r}")
-        snapped = [snap_share(v, game.grid) for v in values]
-        if not all(exact for _, exact in snapped):
+        opponent_play = grid_strategy(game, values)
+        if opponent_play is None:
             return value_play_utilities(game, owner, values)
-        opponent_play = Strategy(tuple(e for e, _ in snapped), game.grid)
     U_P, U_R = payoff_matrices(game)
     if isinstance(opponent_play, Strategy):
         j = strategy_index(game, opponent_play)

@@ -10,7 +10,8 @@ and not only by a benchmark run.  The digests are read from that one file.
 - spe-market: every step, the 200x200 region scan, the gaps row and 1,000
   ``verify-spe`` certificates (1,002 ``main`` calls in one process);
 - sweep-ref: the reference 64x64 sweep with ``--jobs 2``;
-- regret-curves: the first step, the script's own adversary.
+- regret-curves: the first step, the script's own adversary, and in a
+  second test all eight steps.
 """
 
 import hashlib
@@ -70,3 +71,13 @@ def test_workload_outputs_match_benchmark_digests(
         checked.update(files)
     if first_steps is None:
         assert checked == set(expected[name])
+
+
+def test_every_regret_curves_output_matches_benchmark_digests(
+    tmp_path, monkeypatch, workloads, expected
+):
+    """All eight regret-curves steps: the script's adversary and seven
+    seed-drawn cycles, at horizons 100, 400 and 1600."""
+    test_workload_outputs_match_benchmark_digests(
+        tmp_path, monkeypatch, workloads, expected, "regret-curves", None
+    )

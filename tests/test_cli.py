@@ -614,3 +614,52 @@ class TestParserReuse:
         monkeypatch.delenv("BARGAINLAB_JOBS")
         assert main(argv) == 0
         assert json.loads(manifest.read_text())["config"]["jobs"] == "1"
+
+
+class TestAdversaryFileValues:
+    """A value of an adversary file that is not a JSON number, or a bin
+    that is not a list, exits 2 naming the horizon, and nothing is written."""
+
+    GOOD = {"cycle": [[0.3], [0.6]]}
+
+    @pytest.mark.parametrize("entry, stderr", [
+        ({**GOOD, "bins": [0.3]},
+         "error: adversary bin 1 for horizon 20 must be a list of values\n"),
+        ({"cycle": [[True], [0.6]]},
+         "error: adversary play 1 for horizon 20 has a value that is not a "
+         "number: true\n"),
+        ({"plays": [[0.3]] * 19 + [[False]]},
+         "error: adversary play 20 for horizon 20 has a value that is not a "
+         "number: false\n"),
+        ({**GOOD, "bins": [[0.3, True, 0.6]]},
+         "error: adversary bin 1 for horizon 20 has a value that is not a "
+         "number: true\n"),
+    ])
+    def test_rejected_with_exit_2(self, tmp_path, monkeypatch, capsys, entry, stderr):
+        monkeypatch.chdir(tmp_path)
+        Path("adv.json").write_text(json.dumps({"default": self.GOOD, "20": entry}))
+        argv = ["regret", "--horizons", "10,20", "--adversary", "adv.json",
+                "--out", "r.csv", "--manifest", "m.json"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adv.json"]
+
+
+class TestRegretWithoutTables:
+    def test_two_round_grid_400(self, tmp_path):
+        """N = 401**2 strategies: the dense payoff tables would need 96 GiB
+        for the first of them; the regret learner builds none."""
+        from bargainlab import game
+
+        adv = tmp_path / "adv.json"
+        adv.write_text(json.dumps({"default": {"cycle": [[0.3, 0.6], [0.7, 0.2]]}}))
+        out = tmp_path / "r.csv"
+        before = game.payoff_matrices.cache_info()
+        assert main(["regret", "--rounds", "2", "--grid", "400", "--horizons", "10",
+                     "--adversary", str(adv), "--out", str(out)]) == 0
+        assert game.payoff_matrices.cache_info() == before
+        rows = read_csv(out)
+        assert rows[0] == ["T", "regret_grid", "regret_continuous",
+                           "regret_per_sqrt_T"]
+        assert rows[1][0] == "10"
+        assert all(math.isfinite(float(v)) for v in rows[1][1:])

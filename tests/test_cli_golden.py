@@ -277,3 +277,44 @@ def test_bad_input_exits_2_and_writes_nothing(workdir, capsys, name):
     assert main([*argv, "--out", "out.txt", "--manifest", "m.json"]) == 2
     assert capsys.readouterr().err == stderr
     assert sorted(p.name for p in workdir.iterdir()) == before
+
+
+# reg=1 regret runs, recorded before the learner was played from kernel rows:
+# the pure-play learner against the one-round 0.3/0.6 cycle (grid D = T), and
+# against a two-round schedule with off-grid plays.
+REG1_ADVERSARIES = {
+    "cycle.json": {"default": {"cycle": [[0.3], [0.6]]}},
+    "plays.json": {
+        "20": {"plays": [[0.5, 0.5], [0.35, 0.85], [0.2, 0.15], [0.35, 0.5]] * 5},
+        "30": {"plays": [[0.35, 0.85], [0.2, 0.15], [0.5, 0.5]] * 10},
+    },
+}
+
+REG1_REGRET = {
+    "cycle": (
+        ["regret", "--reg", "1", "--horizons", "100,400",
+         "--adversary", "cycle.json"],
+        {
+            "regret.csv": "6e0a4091a36829a8effe1453f311b4fbbd8da778ff9d98c24fe7753eee458393",
+            "manifest.json": "e42d312a8d35c824b85525ac845a00fa161dd25eb3f6d6bc0b13f6b0e4ac947b",
+        },
+    ),
+    "off-grid-plays": (
+        ["regret", "--rounds", "2", "--delta", "0.8", "--reg", "1",
+         "--horizons", "20,30", "--adversary", "plays.json", "--grid", "10",
+         "--rate", "5", "--alpha-p", "0.3,0.7"],
+        {
+            "regret.csv": "f91f676fe9d9b750dd3c524d53f75b1c1d342f83a0811e0940c6f33c729ecc37",
+            "manifest.json": "bd0c32260b5fd9b24c98518580bf39e8e389c4cd51209791ab01469447a4b0a8",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REG1_REGRET))
+def test_reg1_regret_goldens(workdir, name):
+    for file, adversary in REG1_ADVERSARIES.items():
+        (workdir / file).write_text(json.dumps(adversary))
+    argv, expected = REG1_REGRET[name]
+    assert main([*argv, "--out", "regret.csv", "--manifest", "manifest.json"]) == 0
+    assert _digests(workdir, expected) == expected

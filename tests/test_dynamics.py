@@ -5,6 +5,7 @@ from the update rule and frozen here; the exhaustive prediction check then
 covers every interior one-round initial condition on the D=8 grid.
 """
 
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -37,6 +38,7 @@ from bargainlab.game import (
     play,
     strategy_from_index,
     strategy_index,
+    value_play_utilities,
 )
 
 G1 = GameConfig(rounds=1, grid=8, delta=0.9)
@@ -809,3 +811,135 @@ class TestTheorem5DecimalDelta:
         )
         assert record.converged_at == 45
         assert record.ne_value == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the schedule engine against the stepwise learner
+# ---------------------------------------------------------------------------
+
+
+def _stepwise_regret(game, config, adversary):
+    """Step ``ftrl.step`` through the schedule, then score the strategies
+    played round by round: one kernel row per round, summed as they come."""
+    state = make_learner(game, config)
+    played = []
+    for adv in adversary.plays:
+        played.append(state.current)
+        step(state, adv)
+    owner = config.owner
+    cum_grid = np.zeros(game.strategy_count)
+    earned = 0.0
+    for own, adv in zip(played, adversary.plays):
+        u = value_play_utilities(game, owner, adv)
+        cum_grid += u
+        earned += float(_weights_of(game, own) @ u)
+    shift = 1.0 / game.grid
+    values = []
+    for k in range(game.rounds):
+        vals = {float(x) for x in game.grid_values}
+        vals.update(v for b in adversary.bins[k] for v in (b - shift, b, b + shift)
+                    if 0.0 <= v <= 1.0)
+        values.append(sorted(vals))
+    candidates = np.array(list(itertools.product(*values)))
+    cont = np.zeros(len(candidates))
+    for adv in adversary.plays:
+        cont += value_play_utilities(game, owner, adv, candidates)
+    want = RegretResult(float(cum_grid.max() - earned), float(cont.max() - earned))
+    return want, played
+
+
+def _weights_of(game, own):
+    if isinstance(own, MixedStrategy):
+        return own.weights
+    w = np.zeros(game.strategy_count)
+    w[strategy_index(game, own)] = 1.0
+    return w
+
+
+class TestScheduleRegret:
+    @settings(max_examples=120)
+    @given(data=st.data())
+    def test_property_matches_stepwise_learner(self, data):
+        """``schedule_regret`` == the ``ftrl.step`` loop scored round by
+        round, bit for bit, and == ``external_regret`` of the plays.
+
+        Each round's bin holds grid values shifted by one offset: none (on
+        the grid), 1e-12 (fed back at the grid point, scored at the raw
+        value) or 0.37/D (off the grid).  Rates span pure and mixed reg=2
+        plays and tie-heavy reg=1 play; the block size is patched down so
+        the schedule spans several blocks, and the row cache down to 1-3
+        rows so that rows are dropped and computed again.
+        """
+        rounds = data.draw(st.integers(1, 3), label="rounds")
+        grid = data.draw(st.integers(2, 6), label="grid")
+        delta = data.draw(st.integers(1, 100), label="delta_pct") / 100
+        game = GameConfig(rounds=rounds, grid=grid, delta=delta)
+        n = game.strategy_count
+        reg = data.draw(st.sampled_from([1, 2]), label="reg")
+        rate = data.draw(st.one_of(
+            st.integers(1, 4 * grid).map(float),
+            st.sampled_from([0.01, 0.3, 1.7, 25.0, 1000.0]),
+        ), label="rate")
+        bins = []
+        for k in range(rounds):
+            offset = data.draw(
+                st.sampled_from([0.0, 1e-12, 0.37 / grid]), label=f"offset_{k + 1}"
+            )
+            top = grid if offset == 0.0 else grid - 1
+            numerators = data.draw(st.lists(
+                st.integers(0, top), min_size=1, max_size=3, unique=True
+            ), label=f"bin_{k + 1}")
+            bins.append(sorted(e / grid + offset for e in numerators))
+        horizon = data.draw(st.integers(1, 60), label="horizon")
+        play = st.tuples(*(st.sampled_from(b) for b in bins))
+        if data.draw(st.booleans(), label="cycle"):
+            cycle = data.draw(st.lists(play, min_size=1, max_size=4), label="cycle")
+            plays = [cycle[t % len(cycle)] for t in range(horizon)]
+        else:
+            plays = data.draw(
+                st.lists(play, min_size=horizon, max_size=horizon), label="plays"
+            )
+        adversary = make_adversary(game, plays, bins=bins)
+        entry = st.tuples(*[st.integers(0, grid)] * rounds)
+        config = LearnerConfig(
+            owner=data.draw(st.sampled_from("PR"), label="owner"),
+            reg=reg, rate=rate, horizon=horizon,
+            anchor=Strategy(data.draw(entry, label="anchor"), grid),
+            initial=Strategy(data.draw(entry, label="initial"), grid),
+        )
+        block = data.draw(st.integers(1, horizon), label="block")
+        cached = data.draw(st.integers(1, 3), label="cached_rows")
+
+        with mock.patch.object(dynamics, "_BLOCK_BYTES", 8 * n * block), \
+                mock.patch.object(dynamics, "_ROW_CACHE_BYTES", 8 * n * cached):
+            got = dynamics.schedule_regret(game, config, adversary)
+        want, played = _stepwise_regret(game, config, adversary)
+        assert got == want
+        assert external_regret(game, config.owner, played, adversary) == want
+
+    def test_checks_its_inputs(self):
+        game = GameConfig(rounds=1, grid=4, delta=0.9)
+        adversary = make_adversary(game, [(0.25,), (0.5,)])
+        config = lcfg(game, "P", (2,), (2,), horizon=2)
+        with pytest.raises(ValueError, match="horizon 3"):
+            dynamics.schedule_regret(game, lcfg(game, "P", (2,), (2,), horizon=3),
+                                     adversary)
+        with pytest.raises(ValueError, match="different game"):
+            dynamics.schedule_regret(G1, config, adversary)
+        with pytest.raises(ValueError):
+            dynamics.schedule_regret(
+                game, lcfg(G1, "P", (2,), (2,), horizon=2), adversary
+            )
+
+    def test_float_near_tie_goes_to_the_largest_index(self):
+        """After six rounds the offers 0.4 (accepted once, 0.6) and 0.9
+        (accepted six times, 0.1 each) tie in exact arithmetic but not in
+        float; the tie band sends round 7 to the larger offer, as
+        ``ftrl.l1_update`` does."""
+        game = GameConfig(rounds=1, grid=10, delta=0.9)
+        plays = [(0.9,), (0.9,), (0.4,), (0.9,), (0.9,), (0.9,), (0.9,)]
+        adversary = make_adversary(game, plays)
+        config = lcfg(game, "P", (10,), (10,), rate=1000.0, horizon=7)
+        want, played = _stepwise_regret(game, config, adversary)
+        assert played[6] == Strategy((9,), 10)
+        assert dynamics.schedule_regret(game, config, adversary) == want

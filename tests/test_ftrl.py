@@ -19,6 +19,7 @@ from bargainlab.ftrl import (
     l1_update,
     l2_update,
     make_learner,
+    project_rows_to_simplex,
     project_to_simplex,
     step,
 )
@@ -338,3 +339,41 @@ def test_step_real_valued_play():
     for bad in ((0.5,), (0.5, 1.5)):
         with pytest.raises(ValueError):
             step(off_grid, bad)
+
+
+# ---------------------------------------------------------------------------
+# row-wise simplex projection
+# ---------------------------------------------------------------------------
+
+
+def _projection_reference(v):
+    """The sort-based projection of one vector, written out on its own."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+def test_row_projection_kkt_on_repeated_values():
+    """Rows drawn from a few levels, so most values repeat and ties sit at
+    the active-set boundary; each row meets the KKT conditions, equal
+    inputs get equal weights, and every row has the bits of the one-vector
+    construction."""
+    for scale in (0.05, 0.5, 3.0, 40.0):
+        v = RNG.integers(0, 4, size=(200, 9)) * scale
+        v[::7] = v[::7, :1]  # some rows constant
+        w = project_rows_to_simplex(v)
+        assert w.shape == v.shape
+        assert (w >= 0).all()
+        assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+        for row, weights in zip(v, w):
+            support = weights > 0
+            theta = row[support] - weights[support]
+            assert theta.max() - theta.min() <= 1e-12
+            if (~support).any():
+                assert row[~support].max() <= theta.min() + 1e-12
+            for level in np.unique(row):
+                assert np.unique(weights[row == level]).size == 1
+            assert weights.tobytes() == _projection_reference(row).tobytes()
+    with pytest.raises(ValueError, match="empty"):
+        project_rows_to_simplex(np.zeros((3, 0)))
