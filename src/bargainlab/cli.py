@@ -495,6 +495,9 @@ def cmd_sweep(settings: Settings) -> int:
         raise ConfigError("agg-out requires an aggregation mode (--agg)")
     if agg != "none" and not args.agg_out:
         raise ConfigError(f"aggregation {agg!r} requires --agg-out")
+    if agg != "none" and rounds > 2:
+        # aggregate rows and heatmap cells are keyed by the first two rounds
+        raise ConfigError(f"aggregation {agg!r} needs at most two rounds, got {rounds}")
     if args.svg and agg == "none":
         raise ConfigError("svg output requires an aggregation mode (--agg)")
     alpha_p, alpha_r = settings["alpha-p"], settings["alpha-r"]

@@ -63,14 +63,15 @@ from bargainlab.game import (
 class BatchResult:
     """Vectorized self-play outcomes for a batch of initial-condition pairs.
 
-    profiles[b, t] holds the flat strategy indices (P, R) played at round t+1.
+    profiles[b, t] holds the flat strategy indices (P, R) played at round t+1,
+    -1 for a genuine mixture.
     converged_at[b] is the 1-based smallest time from which the profile is
     constant through the horizon, when the final profile is a pure
     equilibrium and that constancy covers more than just the final step;
     otherwise -1.  ne_value[b] is the accepted share of that equilibrium
     (NaN when not converged or when the equilibrium reaches no agreement).
     payoff_P / payoff_R are the payoffs of the final profile regardless of
-    convergence.
+    convergence (NaN when it is mixed).
     """
 
     game: GameConfig
@@ -100,19 +101,18 @@ def batch_self_play(
     initial_R: np.ndarray,
     anchor_P: np.ndarray,
     anchor_R: np.ndarray,
-    tie_tol: float = PAYOFF_TOL,
 ) -> BatchResult:
     """Run pure-play (reg=1) self-play for many initial conditions at once.
 
     All four strategy arguments are arrays of flat strategy indices with a
     common length B.  The selection rule is the stepwise learner's: the
     largest index whose handicapped cumulative utility is within
-    ``tie_tol`` of the maximum.
+    ``PAYOFF_TOL`` of the maximum.
 
     The engine is event-driven.  While both plays stay fixed, every
     objective grows along a straight line, so the first step at which
     either learner's selection can leave its current play is a closed-form
-    minimum over the N strategies (floor/ceil with the ``tie_tol`` margin,
+    minimum over the N strategies (floor/ceil with the ``PAYOFF_TOL`` margin,
     so exact ties landing on a step resolve as the stepwise rule resolves
     them).  Each cell jumps to that step in one move and selects again.
     A jump never passes a step at which the rule would switch; it may stop
@@ -120,7 +120,7 @@ def batch_self_play(
     per cell is O((switches + 1) * N), independent of the horizon.  The
     cumulative sums are formed as ``count * feedback`` rather than one
     addition per step, so they match the stepwise learner up to float
-    rounding, far inside ``tie_tol``.
+    rounding, far inside ``PAYOFF_TOL``.
     """
     iP = np.asarray(initial_P, dtype=np.int64)
     iR = np.asarray(initial_R, dtype=np.int64)
@@ -144,10 +144,10 @@ def batch_self_play(
     for lo in range(0, B, block):
         part = slice(lo, lo + block)
         profiles[part] = _play_block(
-            U_P, U_R, 2.0 / rate, horizon, tie_tol,
+            U_P, U_R, 2.0 / rate, horizon,
             iP[part], iR[part], aP[part], aR[part],
         )
-    return _detect_batch(game, profiles, tie_tol)
+    return _detect_batch(game, profiles)
 
 
 def _play_block(
@@ -155,7 +155,6 @@ def _play_block(
     U_R: np.ndarray,
     pen: float,
     T: int,
-    tol: float,
     cur_P: np.ndarray,
     cur_R: np.ndarray,
     anc_P: np.ndarray,
@@ -181,8 +180,8 @@ def _play_block(
         left = T - 1 - t
         jump = np.minimum(
             np.minimum(
-                _leave_offset(_handicapped(cum_P, anc_P, pen), fb_P, cur_P, tol),
-                _leave_offset(_handicapped(cum_R, anc_R, pen), fb_R, cur_R, tol),
+                _leave_offset(_handicapped(cum_P, anc_P, pen), fb_P, cur_P),
+                _leave_offset(_handicapped(cum_R, anc_R, pen), fb_R, cur_R),
             ),
             left,
         ).astype(np.int64)
@@ -193,8 +192,8 @@ def _play_block(
         cum_P = cum_P[go] + jump[:, None] * fb_P[go]
         cum_R = cum_R[go] + jump[:, None] * fb_R[go]
         t = t + jump + 1
-        cur_P = _select(_handicapped(cum_P, anc_P, pen), tol)
-        cur_R = _select(_handicapped(cum_R, anc_R, pen), tol)
+        cur_P = _select(_handicapped(cum_P, anc_P, pen))
+        cur_R = _select(_handicapped(cum_R, anc_R, pen))
         log.append((cells, t, cur_P, cur_R))
 
     cell, start, play_P, play_R = (np.concatenate(col) for col in zip(*log))
@@ -213,24 +212,22 @@ def _handicapped(cum: np.ndarray, anchor: np.ndarray, pen: float) -> np.ndarray:
     return obj
 
 
-def _select(obj: np.ndarray, tol: float) -> np.ndarray:
-    """Per row, the largest index within ``tol`` of the row maximum."""
-    ties = obj >= obj.max(axis=1, keepdims=True) - tol
+def _select(obj: np.ndarray) -> np.ndarray:
+    """Per row, the largest index within ``PAYOFF_TOL`` of the row maximum."""
+    ties = obj >= obj.max(axis=1, keepdims=True) - PAYOFF_TOL
     return obj.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
 
 
-def _leave_offset(
-    obj: np.ndarray, fb: np.ndarray, cur: np.ndarray, tol: float
-) -> np.ndarray:
+def _leave_offset(obj: np.ndarray, fb: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """Smallest x >= 0 at which ``obj + x * fb`` may stop selecting ``cur``.
 
     Per row, ``cur`` stays selected while it leads every larger index by
-    more than ``tol`` and trails no smaller index by more than ``tol``;
-    these pairwise conditions imply the selection rule, so the offset
+    more than ``tol = PAYOFF_TOL`` and trails no smaller index by more than
+    ``tol``; these pairwise conditions imply the selection rule, so the offset
     returned is never later than the rule's first switch.  np.inf when no
     strategy ever catches up.
     """
-    rows = np.arange(cur.size)
+    rows, tol = np.arange(cur.size), PAYOFF_TOL
     lead = obj[rows, cur][:, None] - obj
     gain = fb - fb[rows, cur][:, None]  # per-round erosion of that lead
     above = np.arange(obj.shape[1]) > cur[:, None]
@@ -245,15 +242,18 @@ def _leave_offset(
     return x.min(axis=1)
 
 
-def _detect_batch(
-    game: GameConfig, profiles: np.ndarray, tol: float = PAYOFF_TOL
-) -> BatchResult:
-    """Convergence detection and final-profile bookkeeping for a batch."""
+def _detect_batch(game: GameConfig, profiles: np.ndarray) -> BatchResult:
+    """Convergence detection and final-profile bookkeeping for a batch.
+
+    -1 in a profile marks a genuine mixture.  A cell ending on one is not
+    converged and gets NaN payoffs (numpy would read -1 as the last index).
+    """
     B, T, _ = profiles.shape
     U_P, U_R = payoff_matrices(game)
     agree, offer_idx = _outcome_tables(game)
     last = profiles[:, -1, :]
     i, j = last[:, 0].astype(np.int64), last[:, 1].astype(np.int64)
+    mixed = (i < 0) | (j < 0)
 
     changed = (profiles != last[:, None, :]).any(axis=2)  # (B, T)
     rev_first = np.argmax(changed[:, ::-1], axis=1)
@@ -264,8 +264,10 @@ def _detect_batch(
     best_R_given_P = U_R.max(axis=1)  # over R's strategies, per P index
     pays_P = U_P[i, j]
     pays_R = U_R[i, j]
-    is_ne = (pays_P >= best_P_given_R[j] - tol) & (pays_R >= best_R_given_P[i] - tol)
-    settled = is_ne & ((t_prime < T) | (T == 1))
+    is_ne = (pays_P >= best_P_given_R[j] - PAYOFF_TOL) & (
+        pays_R >= best_R_given_P[i] - PAYOFF_TOL
+    )
+    settled = is_ne & ~mixed & ((t_prime < T) | (T == 1))
 
     converged_at = np.where(settled, t_prime, -1).astype(np.int32)
     rounds = agree[i, j]
@@ -278,8 +280,8 @@ def _detect_batch(
         converged_at=converged_at,
         ne_value=value,
         ne_round=ne_round,
-        payoff_P=pays_P,
-        payoff_R=pays_R,
+        payoff_P=np.where(mixed, np.nan, pays_P),
+        payoff_R=np.where(mixed, np.nan, pays_R),
     )
 
 
@@ -316,18 +318,14 @@ class TrajectoryRecord:
     def horizon(self) -> int:
         return len(self.profiles)
 
-    @property
-    def payoffs(self) -> tuple[float, float]:
-        return self.payoff_P, self.payoff_R
 
-
-def _as_pure(play_: Play, tol: float = PAYOFF_TOL) -> Strategy | None:
+def _as_pure(play_: Play) -> Strategy | None:
     """The pure strategy a play amounts to, or None for a genuine mixture."""
     if isinstance(play_, Strategy):
         return play_
     w = play_.weights
     k = int(np.argmax(w))
-    if w[k] >= 1.0 - tol:
+    if w[k] >= 1.0 - PAYOFF_TOL:
         return strategy_from_index(play_.cfg, k)
     return None
 
@@ -335,9 +333,11 @@ def _as_pure(play_: Play, tol: float = PAYOFF_TOL) -> Strategy | None:
 def detect_convergence(
     game: GameConfig,
     record: Union["TrajectoryRecord", Sequence[tuple[Play, Play]]],
-    tol: float = PAYOFF_TOL,
 ) -> tuple[int, tuple[Strategy, Strategy], float | None] | None:
     """Smallest 1-based t from which play is a constant pure equilibrium.
+
+    Tests use this play-by-play version as the reference for the batch
+    detector, which :func:`self_play` and the engine run.
 
     ``record`` may be a TrajectoryRecord or a raw sequence of joint plays.
     The joint profile must be (numerically) pure and identical from t through
@@ -350,11 +350,11 @@ def detect_convergence(
     profiles = record.profiles if isinstance(record, TrajectoryRecord) else record
     if len(profiles) == 0:
         return None
-    pure = [(_as_pure(p, tol), _as_pure(r, tol)) for p, r in profiles]
+    pure = [(_as_pure(p), _as_pure(r)) for p, r in profiles]
     last = pure[-1]
     if last[0] is None or last[1] is None:
         return None
-    if not is_pure_ne(game, last[0], last[1], tol):
+    if not is_pure_ne(game, last[0], last[1]):
         return None
     t = len(pure)
     while t >= 2 and pure[t - 2] == last:
@@ -376,58 +376,47 @@ def self_play(
     simultaneously.  Both configs must agree on the horizon.  Pure-play pairs
     (reg=1 on both sides with one shared rate) go through the event-driven
     batch engine; any other combination runs the stepwise learners directly.
-    Either way the recorded profiles are what each learner actually played.
+    Either way the recorded profiles are what each learner actually played,
+    and convergence is decided by the batch detector on their indices.
     """
-    if proposer_config.owner != "P" or responder_config.owner != "R":
+    pc, rc = proposer_config, responder_config
+    if pc.owner != "P" or rc.owner != "R":
         raise ValueError("configs must be for owners 'P' and 'R' respectively")
-    if proposer_config.horizon != responder_config.horizon:
+    if pc.horizon != rc.horizon:
         raise ValueError("both learners must share one horizon")
-    T = proposer_config.horizon
 
-    if (
-        proposer_config.reg == 1
-        and responder_config.reg == 1
-        and proposer_config.rate == responder_config.rate
-    ):
+    if pc.reg == rc.reg == 1 and pc.rate == rc.rate:
+        starts = (pc.initial, rc.initial, pc.anchor, rc.anchor)
         batch = batch_self_play(
-            game,
-            proposer_config.rate,
-            T,
-            np.array([strategy_index(game, proposer_config.initial)]),
-            np.array([strategy_index(game, responder_config.initial)]),
-            np.array([strategy_index(game, proposer_config.anchor)]),
-            np.array([strategy_index(game, responder_config.anchor)]),
+            game, pc.rate, pc.horizon,
+            *(np.array([strategy_index(game, s)]) for s in starts),
         )
         profiles = [
-            (
-                strategy_from_index(game, int(batch.profiles[0, t, 0])),
-                strategy_from_index(game, int(batch.profiles[0, t, 1])),
-            )
-            for t in range(T)
+            (strategy_from_index(game, int(p)), strategy_from_index(game, int(r)))
+            for p, r in batch.profiles[0]
         ]
+        payoffs = batch.payoff_P[0], batch.payoff_R[0]
     else:
-        profiles = _self_play_stepwise(game, proposer_config, responder_config)
+        profiles = _self_play_stepwise(game, pc, rc)
+        log = [
+            [-1 if s is None else strategy_index(game, s) for s in map(_as_pure, pair)]
+            for pair in profiles
+        ]
+        batch = _detect_batch(game, np.array([log], dtype=np.int32))
+        # weights a few ulps off one-hot pay a few ulps off the table entry
+        payoffs = _joint_payoffs(game, *profiles[-1])
 
-    det = detect_convergence(game, profiles)
-    if det is None:
-        converged_at, ne_profile, ne_value, ne_round = None, None, None, None
-    else:
-        converged_at, ne_profile, ne_value = det
-        ne_round = play_game(game, ne_profile[0], ne_profile[1]).agreement_round
-
-    final_p, final_r = profiles[-1]
-    pay_P, pay_R = _joint_payoffs(game, final_p, final_r)
+    t, value = int(batch.converged_at[0]), float(batch.ne_value[0])
     return TrajectoryRecord(
-        game=game,
-        proposer_config=proposer_config,
-        responder_config=responder_config,
-        profiles=profiles,
-        converged_at=converged_at,
-        ne_profile=ne_profile,
-        ne_value=ne_value,
-        ne_round=ne_round,
-        payoff_P=pay_P,
-        payoff_R=pay_R,
+        game, pc, rc, profiles,
+        converged_at=t if t >= 0 else None,
+        ne_profile=tuple(
+            strategy_from_index(game, int(k)) for k in batch.profiles[0, -1]
+        ) if t >= 0 else None,
+        ne_value=None if math.isnan(value) else value,
+        ne_round=int(batch.ne_round[0]) or None,
+        payoff_P=float(payoffs[0]),
+        payoff_R=float(payoffs[1]),
     )
 
 
@@ -827,8 +816,7 @@ def _learner_weights(
         cum = sums[-1] + next(feedback)
         if config.reg == 1:
             pick = _select(
-                _handicapped(sums, np.full(len(sums), anchor), 2.0 / config.rate),
-                PAYOFF_TOL,
+                _handicapped(sums, np.full(len(sums), anchor), 2.0 / config.rate)
             )
             weights = np.zeros_like(sums)
             weights[np.arange(len(sums)), pick] = 1.0

@@ -21,7 +21,7 @@ opponent's actual play, and accumulates that vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -30,6 +30,7 @@ from bargainlab.game import (
     PAYOFF_TOL,
     GameConfig,
     Strategy,
+    _check_strategy,
     payoff_matrices,
     snap_share,
     strategy_from_index,
@@ -98,10 +99,10 @@ class MixedStrategy:
         if (np.abs(w.sum(axis=-1) - 1.0) > 1e-9).any():
             raise ValueError("mixed strategy weights must sum to 1")
 
-    def support(self, tol: float = 1e-12) -> list[tuple[Strategy, float]]:
+    def support(self) -> list[tuple[Strategy, float]]:
         return [
             (strategy_from_index(self.cfg, int(i)), float(self.weights[i]))
-            for i in np.flatnonzero(self.weights > tol)
+            for i in np.flatnonzero(self.weights > 1e-12)
         ]
 
 
@@ -163,27 +164,17 @@ class LearnerState:
     cumulative: np.ndarray
     current: Play
     steps: int = 0
-    rate_warning: str | None = field(default=None)
 
 
 def make_learner(game: GameConfig, config: LearnerConfig) -> LearnerState:
     """Validate config against the game and build the initial state."""
-    for name, s in (("anchor", config.anchor), ("initial", config.initial)):
-        if s.denom != game.grid:
-            raise ValueError(
-                f"{name} grid denominator {s.denom} != game grid {game.grid}"
-            )
-        if len(s.entries) != game.rounds:
-            raise ValueError(
-                f"{name} has {len(s.entries)} entries, game has {game.rounds} rounds"
-            )
+    _check_strategy(game, config.anchor, "anchor")
+    _check_strategy(game, config.initial, "initial")
     return LearnerState(
         game=game,
         config=config,
         cumulative=np.zeros(game.strategy_count),
         current=config.initial,
-        steps=0,
-        rate_warning=config.rate_warning_for(game),
     )
 
 
@@ -224,17 +215,17 @@ def l1_objective(state: LearnerState) -> np.ndarray:
     return obj
 
 
-def l1_update(state: LearnerState, tol: float = PAYOFF_TOL) -> Strategy:
+def l1_update(state: LearnerState) -> Strategy:
     """Pure maximizer of the handicapped cumulative utility.
 
-    Ties within ``tol`` resolve to the largest flat index, which is the
+    Ties within ``PAYOFF_TOL`` resolve to the largest flat index, which is the
     lexicographically largest entry tuple; the anchor's zero handicap makes
     it win genuine utility ties outright.
     """
     if state.steps < 1:
         raise RuntimeError("update rule needs at least one round of feedback")
     obj = l1_objective(state)
-    ties = np.flatnonzero(obj >= obj.max() - tol)
+    ties = np.flatnonzero(obj >= obj.max() - PAYOFF_TOL)
     return strategy_from_index(state.game, int(ties[-1]))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 Owner = Literal["P", "R"]
 
-#: Default tolerance for payoff comparisons (ties, best responses, equilibrium
+#: Tolerance of every payoff comparison (ties, best responses, equilibrium
 #: checks).  Strategy and grid comparisons are always exact integer compares.
 PAYOFF_TOL = 1e-9
 
@@ -395,44 +395,35 @@ def feedback_vector(cfg: GameConfig, owner: Owner, opponent: Strategy) -> Feedba
 # ---------------------------------------------------------------------------
 
 
-def best_responses(
-    cfg: GameConfig, owner: Owner, opponent: Strategy, tol: float = PAYOFF_TOL
-) -> list[Strategy]:
-    """All own strategies within ``tol`` of the maximal payoff vs ``opponent``."""
+def best_responses(cfg: GameConfig, owner: Owner, opponent: Strategy) -> list[Strategy]:
+    """All own strategies within PAYOFF_TOL of the best payoff vs ``opponent``."""
     fb = feedback_vector(cfg, owner, opponent)
     best = fb.values.max()
-    idxs = np.flatnonzero(fb.values >= best - tol)
+    idxs = np.flatnonzero(fb.values >= best - PAYOFF_TOL)
     return [strategy_from_index(cfg, int(i)) for i in idxs]
 
 
-def is_pure_ne(
-    cfg: GameConfig,
-    proposer: Strategy,
-    responder: Strategy,
-    tol: float = PAYOFF_TOL,
-) -> bool:
-    """True when neither agent can gain more than ``tol`` by a unilateral move."""
+def is_pure_ne(cfg: GameConfig, proposer: Strategy, responder: Strategy) -> bool:
+    """True when neither agent can gain more than PAYOFF_TOL by a unilateral move."""
     _check_strategy(cfg, proposer, "proposer strategy")
     _check_strategy(cfg, responder, "responder strategy")
     U_P, U_R = payoff_matrices(cfg)
     i = strategy_index(cfg, proposer)
     j = strategy_index(cfg, responder)
     return bool(
-        U_P[i, j] >= U_P[:, j].max() - tol and U_R[i, j] >= U_R[i, :].max() - tol
+        U_P[i, j] >= U_P[:, j].max() - PAYOFF_TOL
+        and U_R[i, j] >= U_R[i, :].max() - PAYOFF_TOL
     )
 
 
 def equilibrium_value(
-    cfg: GameConfig,
-    proposer: Strategy,
-    responder: Strategy,
-    tol: float = PAYOFF_TOL,
+    cfg: GameConfig, proposer: Strategy, responder: Strategy
 ) -> float | None:
     """Accepted share (the agreement round's responder share) of a pure equilibrium.
 
     Raises ValueError when the profile is not a pure equilibrium.  Returns
     None for equilibria in which no round reaches agreement.
     """
-    if not is_pure_ne(cfg, proposer, responder, tol):
+    if not is_pure_ne(cfg, proposer, responder):
         raise ValueError("profile is not a pure equilibrium")
     return play(cfg, proposer, responder).responder_share

@@ -140,34 +140,31 @@ def w2_lower_bound(mp: MarketParams, w1: float) -> float:
     )
 
 
-def feasibility_violations(
-    mp: MarketParams, target: PayoffTarget, tol: float = BOUNDARY_TOL
-) -> List[str]:
-    """Names of the support conditions the target violates (empty == feasible).
+def feasibility_violations(mp: MarketParams, target: PayoffTarget) -> List[str]:
+    """Names of the support conditions the target violates by more than
+    BOUNDARY_TOL (empty == feasible).
 
     Possible entries: ``tau-regime``, ``w1-upper``, ``w2-upper``,
     ``w1-lower``, ``w2-lower``.
     """
     violations = []
-    if mp.tau > mp.delta * mp.delta / (1.0 + mp.delta) + tol:
+    if mp.tau > mp.delta * mp.delta / (1.0 + mp.delta) + BOUNDARY_TOL:
         violations.append("tau-regime")
     _, G = w_bounds(mp)
-    if target.w1 > G + tol:
+    if target.w1 > G + BOUNDARY_TOL:
         violations.append("w1-upper")
-    if target.w2 > G + tol:
+    if target.w2 > G + BOUNDARY_TOL:
         violations.append("w2-upper")
-    if target.w1 < w1_lower_bound(mp, target.w2) - tol:
+    if target.w1 < w1_lower_bound(mp, target.w2) - BOUNDARY_TOL:
         violations.append("w1-lower")
-    if target.w2 < w2_lower_bound(mp, target.w1) - tol:
+    if target.w2 < w2_lower_bound(mp, target.w1) - BOUNDARY_TOL:
         violations.append("w2-lower")
     return violations
 
 
-def theorem1_feasible(
-    mp: MarketParams, target: PayoffTarget, tol: float = BOUNDARY_TOL
-) -> bool:
+def theorem1_feasible(mp: MarketParams, target: PayoffTarget) -> bool:
     """Whether the payoff target is supportable in a stationary equilibrium."""
-    return not feasibility_violations(mp, target, tol=tol)
+    return not feasibility_violations(mp, target)
 
 
 def sample_feasible_instance(
@@ -288,9 +285,7 @@ def construct_certificate(
 
 
 def prop2_check(
-    cert: EquilibriumCertificate,
-    mp: Optional[MarketParams] = None,
-    tol: float = BOUNDARY_TOL,
+    cert: EquilibriumCertificate, mp: Optional[MarketParams] = None
 ) -> bool:
     """Verify the algebraic stationary-equilibrium conditions directly.
 
@@ -298,11 +293,11 @@ def prop2_check(
     ranges, the outside options satisfy the mutual-threat inequalities
     ``u_i <= delta^2 - delta u_j``, and the stationarity equations
     ``u = tau * W`` hold with ``W`` recomputed from the shares, all within
-    ``tol``.
+    BOUNDARY_TOL.
     """
     if mp is None:
         mp = cert.params
-    delta, tau = mp.delta, mp.tau
+    delta, tau, tol = mp.delta, mp.tau, BOUNDARY_TOL
     pairs = (
         (cert.z_fc1, cert.z_c1f, cert.u_c1),
         (cert.z_fc2, cert.z_c2f, cert.u_c2),
@@ -479,7 +474,6 @@ def one_shot_deviation_scan(
     cert: EquilibriumCertificate,
     mp: Optional[MarketParams] = None,
     scan_grid: int = 200,
-    tol: float = SCAN_TOL,
 ) -> List[Deviation]:
     """Scan every decision node of the automaton profile for a profitable
     one-shot deviation (play continuing per the automata afterwards).
@@ -489,12 +483,12 @@ def one_shot_deviation_scan(
     and reservation values), the responder's accept/reject choice at each such
     offer, and the responder's walk-away after rejecting a sub-threshold
     offer (every other walk-away flag is payoff-neutral).  Returns every
-    deviation improving the deviator's payoff by more than ``tol``; an empty
+    deviation improving the deviator's payoff by more than SCAN_TOL; an empty
     list certifies the one-shot-deviation property at the scanned resolution.
     """
     if mp is None:
         mp = cert.params
-    delta = mp.delta
+    delta, tol = mp.delta, SCAN_TOL
     offers = _scan_offers(cert, scan_grid)
     deviations: List[Deviation] = []
     for pairing in (1, 2):
@@ -663,11 +657,14 @@ def multi_constraint_rhs(
     return upper, lower
 
 
-def multi_feasible(mmp: MultiMarketParams, tol: float = BOUNDARY_TOL) -> bool:
-    """Whether the full payoff matrix satisfies every support bound."""
+def multi_feasible(mmp: MultiMarketParams) -> bool:
+    """Whether the full payoff matrix satisfies every support bound, up to
+    BOUNDARY_TOL."""
     W = np.asarray(mmp.W, dtype=np.float64)
     upper, lower = multi_constraint_rhs(mmp)
-    return bool((W <= upper + tol).all() and (W >= lower - tol).all())
+    return bool(
+        (W <= upper + BOUNDARY_TOL).all() and (W >= lower - BOUNDARY_TOL).all()
+    )
 
 
 def multi_discriminatory(

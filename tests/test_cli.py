@@ -663,3 +663,21 @@ class TestRegretWithoutTables:
                            "regret_per_sqrt_T"]
         assert rows[1][0] == "10"
         assert all(math.isfinite(float(v)) for v in rows[1][1:])
+
+
+class TestSweepAggregationRounds:
+    def test_three_rounds_exit_2_and_write_nothing(self, tmp_path, monkeypatch, capsys):
+        """The aggregate table and heatmap key a cell by its first two
+        rounds, so a three-round cell cannot be told apart from another."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--rounds", "3", "--grid", "2", "--rate", "10",
+                "--reg", "1", "--horizon", "20", "--wp-values", "0,1",
+                "--wr", "0.5,0.5,0.5", "--alpha-p", "0.5,0.5,0.5",
+                "--alpha-r", "0.5,0.5,0.5", "--agg", "over-responder",
+                "--out", "cells.csv", "--agg-out", "agg.csv", "--svg", "heat.svg",
+                "--manifest", "m.json"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: aggregation 'over-responder' needs at most two rounds, got 3\n"
+        )
+        assert list(tmp_path.iterdir()) == []

@@ -318,3 +318,68 @@ def test_reg1_regret_goldens(workdir, name):
     argv, expected = REG1_REGRET[name]
     assert main([*argv, "--out", "regret.csv", "--manifest", "manifest.json"]) == 0
     assert _digests(workdir, expected) == expected
+
+
+# reg=2 self-play, recorded before convergence was decided by the batch
+# detector alone.  The first run converges at t=13 on weights a few ulps off
+# one-hot, so it pays 0.6250000000000089 / 0.37500000000000533, not the
+# table's 0.625 / 0.375.  The second ends on a genuine mixture: exit 3,
+# payoffs 0.7284221094859158 / 0.2715778905140851.  The two-round sweep's 36
+# cells hold converged cells that end off one-hot and unconverged cells that
+# end on mixtures.
+REG2_CASES = {
+    "run-near-one-hot": (
+        ["run", "--rounds", "1", "--delta", "0.9", "--grid", "8", "--rate", "0.7",
+         "--reg", "2", "--horizon", "80", "--wp", "0", "--wr", "0.375",
+         "--alpha-p", "1", "--alpha-r", "0.375", "--trace",
+         "--out", "out.json", "--manifest", "manifest.json"],
+        0,
+        {
+            "out.json": "6393f04564336cd2618812d0c71835065da19d1a01d5cf193c324c581569582a",
+            "manifest.json": "0221fb163ba757fb30da7b00193fefdd72003caca85e80eccb90f5e839d6ea8d",
+        },
+    ),
+    "run-genuine-mixture": (
+        ["run", "--rounds", "1", "--delta", "0.9", "--grid", "4", "--rate", "0.5",
+         "--reg", "2", "--horizon", "40", "--wp", "0", "--wr", "0.5",
+         "--alpha-p", "0", "--alpha-r", "1",
+         "--out", "out.json", "--manifest", "manifest.json"],
+        3,
+        {
+            "out.json": "baf9f12f75b1256829dbc15418a77f375506442bc78f5114f5bee070c35dcbc6",
+            "manifest.json": "84ce4315e91afc849494b26655a9558d4e466ecfdb38f589920a4a42a0883424",
+        },
+    ),
+    "sweep": (
+        ["sweep", "--rounds", "2", "--delta", "0.9", "--grid", "4", "--rate", "0.3",
+         "--reg", "2", "--horizon", "60", "--wp-values", "0,1",
+         "--wr-values", "0,0.25,1", "--alpha-p", "0,0.75",
+         "--alpha-r", "0.75,0.75",
+         "--out", "cells.csv", "--manifest", "manifest.json"],
+        3,
+        {
+            "cells.csv": "8a47afb0bd6841cf7a01b1decffdda3d0ca32fba4cc3e0d1ed7a59a25f663b70",
+            "manifest.json": "b6c4dd36be6d0f462ec24faf47671f0be97a27536bfb4e5499dd2c625ff55c7c",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REG2_CASES))
+def test_reg2_golden_outputs(workdir, name):
+    argv, code, expected = REG2_CASES[name]
+    assert main(argv) == code
+    assert _digests(workdir, expected) == expected
+
+
+@pytest.mark.parametrize("name", sorted(REG2_CASES))
+def test_reg2_manifest_replays(workdir, name):
+    argv, code, expected = REG2_CASES[name]
+    assert main(argv) == code
+    (workdir / "manifest.json").rename(workdir / "first.json")
+    replay = [argv[0], "--config", "first.json"]
+    for flag, value in zip(argv, argv[1:]):
+        if value in expected:
+            replay += [flag, value]
+    assert main(replay) == code
+    assert _digests(workdir, expected) == expected
