@@ -390,7 +390,9 @@ def _profile_json(profile) -> list:
 
 
 def cmd_run(settings: Settings) -> int:
-    record = self_play(*_learning(settings, settings["wp"], settings["wr"]))
+    record = _wrap_value_error(
+        self_play, *_learning(settings, settings["wp"], settings["wr"])
+    )
     converged = record.converged_at is not None
     document = {
         "manifest": settings.manifest().as_dict(),
@@ -508,7 +510,7 @@ def cmd_sweep(settings: Settings) -> int:
         rounds, grid, settings["delta"], settings["rate"], settings["reg"],
         settings["horizon"], alpha_p, alpha_r,
     )
-    results = _run_sweep_cells(payload_base, cells, settings["jobs"])
+    results = _wrap_value_error(_run_sweep_cells, payload_base, cells, settings["jobs"])
 
     header = (
         [f"wp{i}_init" for i in range(1, rounds + 1)]
@@ -717,7 +719,7 @@ def cmd_regret(settings: Settings) -> int:
 
     rows = []
     for game, config, adversary in experiments:
-        regret = schedule_regret(game, config, adversary)
+        regret = _wrap_value_error(schedule_regret, game, config, adversary)
         rows.append((
             config.horizon, regret.regret_vs_grid, regret.regret_vs_continuous,
             regret.regret_vs_continuous / math.sqrt(config.horizon),

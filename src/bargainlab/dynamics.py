@@ -33,11 +33,11 @@ import numpy as np
 
 from bargainlab.ftrl import (
     LearnerConfig,
-    MixedStrategy,
     Play,
     grid_strategy,
+    handicapped,
     make_learner,
-    project_rows_to_simplex,
+    next_plays,
     step,
 )
 from bargainlab.game import (
@@ -105,18 +105,18 @@ def batch_self_play(
     """Run pure-play (reg=1) self-play for many initial conditions at once.
 
     All four strategy arguments are arrays of flat strategy indices with a
-    common length B.  The selection rule is the stepwise learner's: the
-    largest index whose handicapped cumulative utility is within
-    ``PAYOFF_TOL`` of the maximum.
+    common length B.  The selection rule is :func:`ftrl.next_plays` with
+    ``reg=1``: the largest index whose handicapped cumulative utility is
+    within ``PAYOFF_TOL`` of the maximum.
 
     The engine is event-driven.  While both plays stay fixed, every
     objective grows along a straight line, so the first step at which
     either learner's selection can leave its current play is a closed-form
     minimum over the N strategies (floor/ceil with the ``PAYOFF_TOL`` margin,
-    so exact ties landing on a step resolve as the stepwise rule resolves
-    them).  Each cell jumps to that step in one move and selects again.
-    A jump never passes a step at which the rule would switch; it may stop
-    short, which costs one more event that re-selects the same play.  Cost
+    so exact ties landing on a step resolve as the rule resolves them).
+    Each cell jumps to that step in one move and selects again.  A jump
+    never passes a step at which the rule would switch; it may stop short,
+    which costs one more event that re-selects the same play.  Cost
     per cell is O((switches + 1) * N), independent of the horizon.  The
     cumulative sums are formed as ``count * feedback`` rather than one
     addition per step, so they match the stepwise learner up to float
@@ -144,7 +144,7 @@ def batch_self_play(
     for lo in range(0, B, block):
         part = slice(lo, lo + block)
         profiles[part] = _play_block(
-            U_P, U_R, 2.0 / rate, horizon,
+            U_P, U_R, rate, horizon,
             iP[part], iR[part], aP[part], aR[part],
         )
     return _detect_batch(game, profiles)
@@ -153,7 +153,7 @@ def batch_self_play(
 def _play_block(
     U_P: np.ndarray,
     U_R: np.ndarray,
-    pen: float,
+    rate: float,
     T: int,
     cur_P: np.ndarray,
     cur_R: np.ndarray,
@@ -180,8 +180,8 @@ def _play_block(
         left = T - 1 - t
         jump = np.minimum(
             np.minimum(
-                _leave_offset(_handicapped(cum_P, anc_P, pen), fb_P, cur_P),
-                _leave_offset(_handicapped(cum_R, anc_R, pen), fb_R, cur_R),
+                _leave_offset(handicapped(cum_P, anc_P, rate), fb_P, cur_P),
+                _leave_offset(handicapped(cum_R, anc_R, rate), fb_R, cur_R),
             ),
             left,
         ).astype(np.int64)
@@ -192,8 +192,8 @@ def _play_block(
         cum_P = cum_P[go] + jump[:, None] * fb_P[go]
         cum_R = cum_R[go] + jump[:, None] * fb_R[go]
         t = t + jump + 1
-        cur_P = _select(_handicapped(cum_P, anc_P, pen))
-        cur_R = _select(_handicapped(cum_R, anc_R, pen))
+        cur_P = next_plays(cum_P, anc_P, rate, 1)
+        cur_R = next_plays(cum_R, anc_R, rate, 1)
         log.append((cells, t, cur_P, cur_R))
 
     cell, start, play_P, play_R = (np.concatenate(col) for col in zip(*log))
@@ -203,19 +203,6 @@ def _play_block(
     end[np.flatnonzero(cell[1:] != cell[:-1])] = T
     plays = np.stack([play_P[order], play_R[order]], axis=1).astype(np.int32)
     return np.repeat(plays, end - start, axis=0).reshape(m, T, 2)
-
-
-def _handicapped(cum: np.ndarray, anchor: np.ndarray, pen: float) -> np.ndarray:
-    """Cumulative utility minus the 2/rate handicap of every non-anchor play."""
-    obj = cum - pen
-    obj[np.arange(anchor.size), anchor] += pen
-    return obj
-
-
-def _select(obj: np.ndarray) -> np.ndarray:
-    """Per row, the largest index within ``PAYOFF_TOL`` of the row maximum."""
-    ties = obj >= obj.max(axis=1, keepdims=True) - PAYOFF_TOL
-    return obj.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
 
 
 def _leave_offset(obj: np.ndarray, fb: np.ndarray, cur: np.ndarray) -> np.ndarray:
@@ -814,17 +801,10 @@ def _learner_weights(
         for r in range(1, len(sums)):
             np.add(sums[r - 1], next(feedback), out=sums[r])
         cum = sums[-1] + next(feedback)
-        if config.reg == 1:
-            pick = _select(
-                _handicapped(sums, np.full(len(sums), anchor), 2.0 / config.rate)
-            )
-            weights = np.zeros_like(sums)
+        weights = next_plays(sums, anchor, config.rate, config.reg)
+        if config.reg == 1:  # pure indices -> one-hot weight rows
+            pick, weights = weights, np.zeros_like(sums)
             weights[np.arange(len(sums)), pick] = 1.0
-        else:
-            weights = config.rate * sums
-            weights[:, anchor] += 1.0
-            weights = project_rows_to_simplex(weights)
-            MixedStrategy.check_weights(weights)
         if lo == 0:
             weights[0] = _weights_of(game, config.initial)
         yield from weights

@@ -93,11 +93,13 @@ class MixedStrategy:
     @staticmethod
     def check_weights(w: np.ndarray) -> None:
         """Raise ValueError unless every row of ``w`` is a distribution up to
-        rounding: weights >= -1e-12 and a sum within 1e-9 of 1."""
-        if (w < -1e-12).any():
+        rounding: finite weights >= -1e-12 and a sum within 1e-9 of 1.  A
+        NaN or infinite weight makes its row's sum fail the last test."""
+        if w.min() < -1e-12:
             raise ValueError("mixed strategy weights must be nonnegative")
-        if (np.abs(w.sum(axis=-1) - 1.0) > 1e-9).any():
-            raise ValueError("mixed strategy weights must sum to 1")
+        if not np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-9:
+            what = "sum to 1" if np.isfinite(w).all() else "be finite"
+            raise ValueError(f"mixed strategy weights must {what}")
 
     def support(self) -> list[tuple[Strategy, float]]:
         return [
@@ -135,6 +137,8 @@ class LearnerConfig:
             raise ValueError(f"reg must be 1 or 2, got {self.reg!r}")
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate!r}")
+        if not np.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate!r}")
         if not isinstance(self.horizon, int) or self.horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
 
@@ -208,35 +212,58 @@ def _feedback(
     raise TypeError(f"opponent play must be Strategy or MixedStrategy, got {opponent_play!r}")
 
 
-def l1_objective(state: LearnerState) -> np.ndarray:
-    """Cumulative utility minus the anchor handicap, per pure strategy."""
-    obj = state.cumulative - 2.0 / state.config.rate
-    obj[strategy_index(state.game, state.config.anchor)] += 2.0 / state.config.rate
+def handicapped(cum: np.ndarray, anchor: np.ndarray | int, rate: float) -> np.ndarray:
+    """Rows of cumulative utility less ``2 / rate`` on every play but the
+    row's anchor (one flat index per row, or one for all rows)."""
+    obj = cum - 2.0 / rate
+    obj[np.arange(obj.shape[0]), anchor] += 2.0 / rate
     return obj
 
 
-def l1_update(state: LearnerState) -> Strategy:
-    """Pure maximizer of the handicapped cumulative utility.
+def next_plays(
+    cum: np.ndarray, anchor: np.ndarray | int, rate: float, reg: int
+) -> np.ndarray:
+    """Each row's next play under the module docstring's update rules.
 
-    Ties within ``PAYOFF_TOL`` resolve to the largest flat index, which is the
-    lexicographically largest entry tuple; the anchor's zero handicap makes
-    it win genuine utility ties outright.
+    ``reg=1``: the pure play, the largest index whose :func:`handicapped`
+    utility is within ``PAYOFF_TOL`` of the row maximum.  ``reg=2``: the
+    weights, anchor + rate * cum projected onto the simplex and checked.
     """
+    if reg == 1:
+        obj = handicapped(cum, anchor, rate)
+        ties = obj >= obj.max(axis=1, keepdims=True) - PAYOFF_TOL
+        return obj.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
+    v = rate * cum
+    v[np.arange(v.shape[0]), anchor] += 1.0
+    weights = project_rows_to_simplex(v)
+    try:
+        MixedStrategy.check_weights(weights)
+    except ValueError as exc:
+        raise ValueError(f"rate {rate!r} is too large for reg=2: {exc}") from None
+    return weights
+
+
+def _next_play(state: LearnerState, reg: int) -> np.ndarray:
     if state.steps < 1:
         raise RuntimeError("update rule needs at least one round of feedback")
-    obj = l1_objective(state)
-    ties = np.flatnonzero(obj >= obj.max() - PAYOFF_TOL)
-    return strategy_from_index(state.game, int(ties[-1]))
+    anchor = strategy_index(state.game, state.config.anchor)
+    return next_plays(state.cumulative[None], anchor, state.config.rate, reg)[0]
+
+
+def l1_objective(state: LearnerState) -> np.ndarray:
+    """Cumulative utility minus the anchor handicap, per pure strategy."""
+    anchor = strategy_index(state.game, state.config.anchor)
+    return handicapped(state.cumulative[None], anchor, state.config.rate)[0]
+
+
+def l1_update(state: LearnerState) -> Strategy:
+    """Pure maximizer of the handicapped cumulative utility (:func:`next_plays`)."""
+    return strategy_from_index(state.game, int(_next_play(state, 1)))
 
 
 def l2_update(state: LearnerState) -> MixedStrategy:
     """Projection of anchor + rate * cumulative utility onto the simplex."""
-    if state.steps < 1:
-        raise RuntimeError("update rule needs at least one round of feedback")
-    v = np.zeros(state.game.strategy_count)
-    v[strategy_index(state.game, state.config.anchor)] = 1.0
-    v += state.config.rate * state.cumulative
-    return MixedStrategy(state.game, project_to_simplex(v))
+    return MixedStrategy(state.game, _next_play(state, 2))
 
 
 def step(

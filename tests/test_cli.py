@@ -681,3 +681,29 @@ class TestSweepAggregationRounds:
             "error: aggregation 'over-responder' needs at most two rounds, got 3\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+
+class TestReg2RateTooLarge:
+    """At a reg=2 rate so large that float64 rounding leaves the projected
+    weights off the simplex, each learning command exits 2 naming the rate,
+    and nothing is written."""
+
+    GAME = ["--rounds", "1", "--grid", "4", "--horizon", "50", "--wr", "0.5",
+            "--alpha-p", "0.5", "--alpha-r", "0.5"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", *GAME, "--wp", "0.5", "--out", "out.json"],
+        ["sweep", *GAME, "--wp-values", "0.25,0.5,0.75", "--jobs", "2",
+         "--out", "out.csv"],
+        ["regret", "--horizons", "10,20", "--adversary", "adv.json",
+         "--out", "out.csv"],
+    ], ids=["run", "sweep", "regret"])
+    def test_exit_2_and_write_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("adv.json").write_text(json.dumps({"default": {"cycle": [[0.3], [0.6]]}}))
+        assert main([*argv, "--reg", "2", "--rate", "1e16", "--manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: rate 1e+16 is too large for reg=2: "
+            "mixed strategy weights must sum to 1\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adv.json"]

@@ -7,10 +7,14 @@ feasible points, both independent of the sorting construction used inside.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bargainlab.dynamics import batch_self_play
 from bargainlab.ftrl import (
     HorizonExceededError,
     LearnerConfig,
@@ -19,11 +23,13 @@ from bargainlab.ftrl import (
     l1_update,
     l2_update,
     make_learner,
+    next_plays,
     project_rows_to_simplex,
     project_to_simplex,
     step,
 )
 from bargainlab.game import (
+    PAYOFF_TOL,
     GameConfig,
     Strategy,
     feedback_vector,
@@ -377,3 +383,112 @@ def test_row_projection_kkt_on_repeated_values():
             assert weights.tobytes() == _projection_reference(row).tobytes()
     with pytest.raises(ValueError, match="empty"):
         project_rows_to_simplex(np.zeros((3, 0)))
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+
+def test_non_finite_weights_and_rates_rejected():
+    """A NaN weight compares False with every bound and must still fail the
+    check; an infinite reg=2 rate would play all-NaN weights.  The event
+    engine takes an infinite rate: its handicap 2 / rate is then exactly 0."""
+    game = GameConfig(rounds=1, grid=4, delta=0.9)
+    for weights in (np.full(5, np.nan), [np.nan, 1.0, 0.0, 0.0, 0.0],
+                    [np.inf, 0.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="must be finite"):
+            MixedStrategy(game, np.array(weights))
+    for reg in (1, 2):
+        with pytest.raises(ValueError, match="rate must be finite, got inf"):
+            _lcfg(reg=reg, rate=float("inf"))
+    batch = batch_self_play(game, float("inf"), 20, [1, 4], [2, 0], [3, 3], [0, 4])
+    assert batch.profiles.shape == (2, 20, 2)
+
+
+# ---------------------------------------------------------------------------
+# the row-wise update rule against references that share none of its code
+# ---------------------------------------------------------------------------
+
+
+def _leader_reference(row, anchor, rate):
+    """The reg=1 rule for one row, as a loop over Python floats: the largest
+    index whose handicapped utility is within PAYOFF_TOL of the best."""
+    pen = 2.0 / rate
+    obj = [c if j == anchor else c - pen for j, c in enumerate(row)]
+    best = max(obj)
+    return max(j for j, h in enumerate(obj) if h >= best - PAYOFF_TOL)
+
+
+def _cum_for(target, pen):
+    """A cumulative utility whose handicapped value c - pen is exactly
+    ``target`` when one lies within a few ulps of target + pen."""
+    c = target + pen
+    for _ in range(4):
+        if c - pen == target:
+            break
+        c = math.nextafter(c, math.inf if c - pen < target else -math.inf)
+    return c
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_next_plays_reg1_matches_per_row_loop(data):
+    """Per-row anchors, gaps planted at exactly +-PAYOFF_TOL from the row's
+    best handicapped utility and one ulp either side of them.  Utilities are
+    multiples of 2**-10 and rates powers of two, so the anchor's utility is
+    exact whether or not the handicap is taken off and added back."""
+    m = data.draw(st.integers(1, 6), label="rows")
+    n = data.draw(st.integers(2, 8), label="strategies")
+    rate = 2.0 ** data.draw(st.integers(-3, 8), label="log2_rate")
+    pen = 2.0 / rate
+    cum = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 1 << 16), min_size=n, max_size=n),
+        min_size=m, max_size=m,
+    ), label="cum_units")) / 1024.0
+    anchors = np.array(data.draw(
+        st.lists(st.integers(0, n - 1), min_size=m, max_size=m), label="anchors"
+    ))
+    for r in range(m):
+        best = max(c if j == anchors[r] else c - pen for j, c in enumerate(cum[r]))
+        edges = [best, best - PAYOFF_TOL, best + PAYOFF_TOL]
+        targets = edges + [math.nextafter(e, d) for e in edges[1:]
+                           for d in (-math.inf, math.inf)]
+        for j in range(n):
+            if j != anchors[r] and data.draw(st.booleans(), label="plant"):
+                target = data.draw(st.sampled_from(targets), label="target")
+                cum[r, j] = _cum_for(target, pen)
+    got = next_plays(cum, anchors, rate, 1)
+    want = [_leader_reference(list(cum[r]), anchors[r], rate) for r in range(m)]
+    assert got.tolist() == want
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_next_plays_reg2_meets_kkt_conditions(data):
+    """Each row of weights is the projection of anchor + rate * cum onto the
+    simplex by the KKT conditions: weights >= 0 summing to 1, one shift
+    theta with w = v - theta on the support, and v <= theta off it.  Few
+    utility levels make ties at the support's boundary common."""
+    m = data.draw(st.integers(1, 6), label="rows")
+    n = data.draw(st.integers(1, 8), label="strategies")
+    rate = data.draw(st.floats(1e-3, 300.0), label="rate")
+    levels = data.draw(st.integers(1, 1 << 16), label="levels")
+    cum = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, levels), min_size=n, max_size=n),
+        min_size=m, max_size=m,
+    ), label="cum_units")) * (64.0 / levels)
+    anchors = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=m, max_size=m), label="anchors"
+    )
+    w = next_plays(cum, np.array(anchors), rate, 2)
+    assert w.shape == (m, n)
+    for r in range(m):
+        v = [rate * c + (1.0 if j == anchors[r] else 0.0) for j, c in enumerate(cum[r])]
+        tol = 4 * n * np.finfo(float).eps * max(1.0, max(abs(x) for x in v))
+        assert (w[r] >= 0).all()
+        assert abs(math.fsum(w[r]) - 1.0) <= n * tol
+        support = [j for j in range(n) if w[r, j] > 0]
+        theta = [v[j] - w[r, j] for j in support]
+        assert support and max(theta) - min(theta) <= tol
+        assert all(v[j] <= min(theta) + tol for j in range(n) if j not in support)
