@@ -34,7 +34,7 @@ import numpy as np
 from bargainlab.ftrl import (
     LearnerConfig,
     Play,
-    grid_strategy,
+    _scored_values,
     handicapped,
     make_learner,
     next_plays,
@@ -44,7 +44,8 @@ from bargainlab.game import (
     PAYOFF_TOL,
     GameConfig,
     Strategy,
-    _outcome_tables,
+    _agreements,
+    _entries_matrix,
     is_pure_ne,
     payoff_matrices,
     play as play_game,
@@ -237,7 +238,6 @@ def _detect_batch(game: GameConfig, profiles: np.ndarray) -> BatchResult:
     """
     B, T, _ = profiles.shape
     U_P, U_R = payoff_matrices(game)
-    agree, offer_idx = _outcome_tables(game)
     last = profiles[:, -1, :]
     i, j = last[:, 0].astype(np.int64), last[:, 1].astype(np.int64)
     mixed = (i < 0) | (j < 0)
@@ -257,9 +257,9 @@ def _detect_batch(game: GameConfig, profiles: np.ndarray) -> BatchResult:
     settled = is_ne & ~mixed & ((t_prime < T) | (T == 1))
 
     converged_at = np.where(settled, t_prime, -1).astype(np.int32)
-    rounds = agree[i, j]
-    value = np.where(rounds > 0, offer_idx[i, j] / game.grid, np.nan)
-    value = np.where(settled, value, np.nan)
+    em = _entries_matrix(game)
+    rounds, offer = _agreements(em[i], em[j])
+    value = np.where(settled & (rounds > 0), offer / game.grid, np.nan)
     ne_round = np.where(settled, rounds, 0).astype(np.int32)
     return BatchResult(
         game=game,
@@ -749,11 +749,11 @@ def schedule_regret(
 ) -> RegretResult:
     """External regret of one learner played over an adversary's schedule.
 
-    The result equals, bit for bit, stepping ``ftrl.step`` once per play of
-    ``adversary.plays`` from :func:`ftrl.make_learner` and passing the
-    strategies played to :func:`external_regret`.  The learner's feedback
-    does not depend on its own play, so its cumulative feedback is a
-    running sum of kernel rows, and each round's play a function of that
+    At any round count the result equals, bit for bit, stepping ``ftrl.step``
+    once per play of ``adversary.plays`` from :func:`ftrl.make_learner` and
+    passing the strategies played to :func:`external_regret`.  The learner's
+    feedback does not depend on its own play, so its cumulative feedback is
+    a running sum of kernel rows, and each round's play a function of that
     sum alone.  Rounds are played in blocks of at most ``_BLOCK_BYTES`` per
     (rounds x strategies) array, kernel rows are kept for reuse up to
     ``_ROW_CACHE_BYTES``, and no payoff table is built: array memory grows
@@ -785,11 +785,8 @@ def _learner_weights(
     play on the grid is fed back at its grid values, as ``ftrl.step``
     scores it.
     """
-    fed = {}
-    for play in dict.fromkeys(plays):
-        strategy = grid_strategy(game, play)
-        fed[play] = play if strategy is None else strategy.values
-    feedback = _schedule_rows(game, config.owner, (fed[play] for play in plays))
+    fed = (_scored_values(game, play) for play in plays)
+    feedback = _schedule_rows(game, config.owner, fed)
     n = game.strategy_count
     anchor = strategy_index(game, config.anchor)
     block = max(1, _BLOCK_BYTES // (8 * n))

@@ -182,31 +182,29 @@ def make_learner(game: GameConfig, config: LearnerConfig) -> LearnerState:
     )
 
 
-def grid_strategy(game: GameConfig, values: tuple[float, ...]) -> Strategy | None:
-    """The grid strategy a tuple of shares counts as, or None when a share
-    is off the grid (per :func:`snap_share`)."""
+def _scored_values(game: GameConfig, values: tuple[float, ...]) -> tuple[float, ...]:
+    """The shares a play is scored at: its grid values when every share is on
+    the grid (per :func:`snap_share`), else the play itself."""
     snapped = [snap_share(v, game.grid) for v in values]
     if not all(exact for _, exact in snapped):
-        return None
-    return Strategy(tuple(e for e, _ in snapped), game.grid)
+        return values
+    return tuple(e / game.grid for e, _ in snapped)
 
 
 def _feedback(
     state: LearnerState, opponent_play: Play | tuple[float, ...]
 ) -> np.ndarray:
     game, owner = state.game, state.config.owner
+    if isinstance(opponent_play, Strategy):
+        _check_strategy(game, opponent_play, "strategy")
+        return value_play_utilities(game, owner, opponent_play.values)
     if isinstance(opponent_play, tuple):
         values = opponent_play
         if len(values) != game.rounds or not all(0 <= v <= 1 for v in values):
             raise ValueError(f"need {game.rounds} shares in [0, 1], got {values!r}")
-        opponent_play = grid_strategy(game, values)
-        if opponent_play is None:
-            return value_play_utilities(game, owner, values)
-    U_P, U_R = payoff_matrices(game)
-    if isinstance(opponent_play, Strategy):
-        j = strategy_index(game, opponent_play)
-        return U_P[:, j] if owner == "P" else U_R[j, :]
+        return value_play_utilities(game, owner, _scored_values(game, values))
     if isinstance(opponent_play, MixedStrategy):
+        U_P, U_R = payoff_matrices(game)
         w = opponent_play.weights
         return U_P @ w if owner == "P" else U_R.T @ w
     raise TypeError(f"opponent play must be Strategy or MixedStrategy, got {opponent_play!r}")

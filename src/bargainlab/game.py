@@ -13,6 +13,10 @@ in agreement both payoffs are zero.
 Shares live on the uniform grid {0, 1/D, ..., 1} and are stored as integer
 numerators, so strategy identity and grid membership are exact; floats only
 appear in payoffs.
+
+The rules are written once, as a broadcast kernel priced with the scalar
+powers ``play`` uses; the payoff tables, the value-play rows and every read
+against one pure opponent are built on it.
 """
 
 from __future__ import annotations
@@ -183,7 +187,7 @@ def play(cfg: GameConfig, proposer: Strategy, responder: Strategy) -> Outcome:
 
     ``proposer`` moves first (odd rounds), ``responder`` moves second (even
     rounds).  This is the direct round-by-round reference implementation; the
-    vectorized tables in :func:`payoff_matrices` are cross-checked against it.
+    rules kernel behind every vectorized path is checked against it.
     """
     _check_strategy(cfg, proposer, "proposer strategy")
     _check_strategy(cfg, responder, "responder strategy")
@@ -242,22 +246,15 @@ def value_play_utilities(
 
     ``own`` is an (n, rounds) array of real shares, one strategy per row; by
     default it is every grid strategy in flat-index order.  ``opponent``
-    holds one share per round.  Same rules as :func:`continuous_play`.
+    holds one share per round.  One kernel row: the same rules and floats as
+    :func:`continuous_play`, and at grid values as :func:`play`.
     """
     if own is None:
         own = _entries_matrix(cfg) / cfg.grid
-    util = np.zeros(own.shape[0])
-    alive = np.ones(own.shape[0], dtype=bool)
-    for k in range(1, cfg.rounds + 1):
-        a = opponent[k - 1]
-        if (k % 2 == 1) == (owner == "P"):  # own offer, opponent threshold
-            deal = alive & (own[:, k - 1] >= a)
-            util[deal] = cfg.delta ** (k - 1) * (1.0 - own[deal, k - 1])
-        else:  # opponent offers a to the own threshold
-            deal = alive & (a >= own[:, k - 1])
-            util[deal] = cfg.delta ** (k - 1) * a
-        alive &= ~deal
-    return util
+    opponent = np.asarray(opponent, dtype=np.float64)
+    if owner == "P":
+        return _price(cfg, *_agreements(own, opponent))[0]
+    return _price(cfg, *_agreements(opponent, own))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -306,47 +303,61 @@ def all_strategies(cfg: GameConfig) -> list[Strategy]:
 
 
 # ---------------------------------------------------------------------------
-# vectorized outcome tables
+# the rules kernel and the tables built on it
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _outcome_tables(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Agreement round (0 = never) and accepted-offer numerator per profile.
+def _agreements(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Agreement round (0 = never) and accepted offer (0 when none) of every
+    pairing of first- and second-mover entries: integer numerators or real
+    shares, one per round along the last axis, leading axes broadcast.  The
+    first mover proposes in odd rounds; an offer at least the responder's
+    threshold is accepted."""
+    shape = np.broadcast_shapes(first.shape[:-1], second.shape[:-1])
+    agree = np.zeros(shape, dtype=np.int32)
+    offer = np.zeros(shape, dtype=np.result_type(first, second))
+    for k in reversed(range(first.shape[-1])):  # an earlier deal overwrites
+        proposer, responder = (first, second) if k % 2 == 0 else (second, first)
+        deal = proposer[..., k] >= responder[..., k]
+        np.copyto(agree, k + 1, where=deal)
+        np.copyto(offer, proposer[..., k], where=deal)
+    return agree, offer
 
-    Entry [i, j] covers first mover strategy i against second mover strategy
-    j, indices per :func:`strategy_index`.
-    """
+
+def _price(
+    cfg: GameConfig, agree: np.ndarray, share: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First- and second-mover payoffs of agreements in rounds ``agree`` on
+    responder shares ``share``: round k pays the responder ``disc * share``
+    and the proposer ``disc * (1 - share)`` with ``disc`` the Python scalar
+    ``cfg.delta ** (k - 1)``, as in :func:`play` (numpy's array power is not
+    correctly rounded for exponents >= 2); round 0 pays nothing."""
+    first_proposed = (agree & 1) == 1  # odd rounds
+    first, second = 1.0 - share, 1.0 - share
+    np.copyto(first, share, where=~first_proposed)
+    np.copyto(second, share, where=first_proposed)
+    disc = [0.0] + [cfg.delta ** (k - 1) for k in range(1, cfg.rounds + 1)]
+    disc = np.array(disc)[agree]
+    first *= disc
+    second *= disc
+    return first, second
+
+
+def _outcome_tables(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Agreement round (0 = never) and accepted-offer numerator of first mover
+    strategy i against second mover strategy j at [i, j] (:func:`strategy_index`)."""
     em = _entries_matrix(cfg)
-    n = cfg.strategy_count
-    agree = np.zeros((n, n), dtype=np.int32)
-    offer_idx = np.zeros((n, n), dtype=np.int64)
-    alive = np.ones((n, n), dtype=bool)
-    for k in range(1, cfg.rounds + 1):
-        if k % 2 == 1:
-            offers = em[:, k - 1][:, None]  # first mover proposes
-            thresholds = em[:, k - 1][None, :]
-        else:
-            offers = em[:, k - 1][None, :]  # second mover proposes
-            thresholds = em[:, k - 1][:, None]
-        deal = alive & (offers >= thresholds)
-        agree[deal] = k
-        offer_idx[deal] = np.broadcast_to(offers, (n, n))[deal]
-        alive &= ~deal
-    return agree, offer_idx
+    return _agreements(em[:, None], em[None])
 
 
 @functools.lru_cache(maxsize=64)
 def payoff_matrices(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Full payoff tables (U_P, U_R), each indexed [first mover, second mover]."""
-    agree, offer_idx = _outcome_tables(cfg)
-    y = offer_idx / cfg.grid
-    disc = np.where(agree > 0, cfg.delta ** np.maximum(agree - 1, 0), 0.0)
-    resp_pay = disc * y
-    prop_pay = disc * (1.0 - y)
-    odd = agree % 2 == 1  # P proposed, R responded
-    U_P = np.where(odd, prop_pay, resp_pay)
-    U_R = np.where(odd, resp_pay, prop_pay)
+    """Full payoff tables (U_P, U_R), each indexed [first mover, second mover]:
+    :func:`_price` of :func:`_outcome_tables`.  Only the event engine and plays
+    against mixed strategies read them; a pure opponent costs one kernel row."""
+    agree, offer = _outcome_tables(cfg)
+    offer = offer / cfg.grid  # shares; the numerators are freed before pricing
+    U_P, U_R = _price(cfg, agree, offer)
     U_P.setflags(write=False)
     U_R.setflags(write=False)
     return U_P, U_R
@@ -377,15 +388,11 @@ def _check_owner(owner: str) -> None:
 
 
 def feedback_vector(cfg: GameConfig, owner: Owner, opponent: Strategy) -> FeedbackVector:
-    """Utility of each of owner's pure strategies against ``opponent``."""
+    """Utility of each of owner's pure strategies against ``opponent``: one
+    kernel row (:func:`value_play_utilities` at its grid values)."""
     _check_owner(owner)
     _check_strategy(cfg, opponent, "opponent strategy")
-    U_P, U_R = payoff_matrices(cfg)
-    j = strategy_index(cfg, opponent)
-    if owner == "P":
-        vals = U_P[:, j].copy()
-    else:
-        vals = U_R[j, :].copy()
+    vals = value_play_utilities(cfg, owner, opponent.values)
     vals.setflags(write=False)
     return FeedbackVector(cfg, owner, vals)
 
@@ -407,13 +414,10 @@ def is_pure_ne(cfg: GameConfig, proposer: Strategy, responder: Strategy) -> bool
     """True when neither agent can gain more than PAYOFF_TOL by a unilateral move."""
     _check_strategy(cfg, proposer, "proposer strategy")
     _check_strategy(cfg, responder, "responder strategy")
-    U_P, U_R = payoff_matrices(cfg)
-    i = strategy_index(cfg, proposer)
-    j = strategy_index(cfg, responder)
-    return bool(
-        U_P[i, j] >= U_P[:, j].max() - PAYOFF_TOL
-        and U_R[i, j] >= U_R[i, :].max() - PAYOFF_TOL
-    )
+    against_R = feedback_vector(cfg, "P", responder)
+    against_P = feedback_vector(cfg, "R", proposer)
+    return bool(against_R[proposer] >= against_R.values.max() - PAYOFF_TOL
+                and against_P[responder] >= against_P.values.max() - PAYOFF_TOL)
 
 
 def equilibrium_value(

@@ -707,3 +707,119 @@ class TestReg2RateTooLarge:
             "mixed strategy weights must sum to 1\n"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adv.json"]
+
+
+RUN_BASE = ["run", *REPLAY, "--out", "out.json"]
+SWEEP_CELLS = [*SWEEP_BASE, "--wp", "0.5,0.5", "--wr", "0.0625,1.0", "--out", "out.csv"]
+REGRET_BASE = ["regret", "--horizons", "10", "--adversary", "adv.json", "--out", "out.csv"]
+
+
+def _bad_adversary(name, doc, stderr):
+    files = {"adv.json": json.dumps(doc)}
+    return pytest.param(REGRET_BASE, files, stderr, id=f"adversary-{name}")
+
+
+class TestInputErrors:
+    """Each rejected input exits 2 with its message and writes neither the
+    output nor the manifest.  The unwritable-directory check has no case:
+    ``os.access`` reports every directory writable to the root user, so it
+    can only be exercised by an ordinary user."""
+
+    @pytest.mark.parametrize("argv,files,stderr", [
+        pytest.param(
+            [*RUN_BASE, "--config", "missing.cfg"], {},
+            "error: cannot read config file: [Errno 2] No such file or "
+            "directory: 'missing.cfg'\n", id="config-unreadable"),
+        pytest.param(
+            [*RUN_BASE, "--config", "c.json"], {"c.json": "{grid: 8}"},
+            "error: config file is not valid JSON: Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1)\n",
+            id="config-bad-json"),
+        pytest.param(
+            [*RUN_BASE, "--config", "c.json"], {"c.json": '{"grid": 8}'},
+            "error: JSON config file is not a run manifest\n",
+            id="config-not-manifest"),
+        pytest.param(
+            [*RUN_BASE, "--config", "c.cfg"],
+            {"c.cfg": "# run settings\ngrid=8\nrate 20\n"},
+            "error: config line 3: expected key=value\n", id="config-line"),
+        pytest.param(
+            ["run", "--rounds", "1", "--out", "out.json"], {},
+            "error: missing required setting: grid\n", id="missing-setting"),
+        pytest.param(
+            [*RUN_BASE, "--delta=-0.5"], {},
+            "error: delta: must be >= 0.0, got '-0.5'\n", id="float-low"),
+        pytest.param(
+            [*RUN_BASE, "--delta", "1.5"], {},
+            "error: delta: must be <= 1.0, got '1.5'\n", id="float-high"),
+        pytest.param(
+            ["regret", "--horizons", ",", "--adversary", "adv.json", "--out", "out.csv"],
+            {}, "error: horizons: at least one value required\n", id="no-values"),
+        pytest.param(
+            [*SWEEP_CELLS, "--agg-out", "agg.csv"], {},
+            "error: agg-out requires an aggregation mode (--agg)\n",
+            id="agg-out-without-agg"),
+        pytest.param(
+            [*SWEEP_CELLS, "--agg", "over-responder"], {},
+            "error: aggregation 'over-responder' requires --agg-out\n",
+            id="agg-without-agg-out"),
+        pytest.param(
+            [*SWEEP_CELLS, "--svg", "heat.svg"], {},
+            "error: svg output requires an aggregation mode (--agg)\n",
+            id="svg-without-agg"),
+        pytest.param(
+            REGRET_BASE, {},
+            "error: cannot read adversary file: [Errno 2] No such file or "
+            "directory: 'adv.json'\n", id="adversary-unreadable"),
+        pytest.param(
+            REGRET_BASE, {"adv.json": "cycle"},
+            "error: adversary file is not valid JSON: Expecting value: line 1 "
+            "column 1 (char 0)\n", id="adversary-bad-json"),
+        _bad_adversary(
+            "not-object", [[0.3]],
+            "error: adversary file must be a JSON object\n"),
+        _bad_adversary(
+            "entry-not-object", {"default": [[0.3]]},
+            "error: adversary entry for 10 must be an object\n"),
+        _bad_adversary(
+            "empty-cycle", {"default": {"cycle": []}},
+            "error: adversary cycle for 10 must be a nonempty list\n"),
+        _bad_adversary(
+            "plays-length", {"default": {"plays": [[0.3]] * 9}},
+            "error: adversary plays for 10 must list exactly 10 rounds\n"),
+        _bad_adversary(
+            "no-cycle-or-plays", {"default": {"bins": [[0.3]]}},
+            "error: adversary entry for 10 needs a cycle or plays field\n"),
+        _bad_adversary(
+            "play-length", {"default": {"cycle": [[0.3], [0.3, 0.6]]}},
+            "error: adversary play 2 for horizon 10 must list 1 values\n"),
+        _bad_adversary(
+            "value-outside", {"default": {"cycle": [[1.5]]}},
+            "error: adversary play 1 for horizon 10 has a value outside [0, 1]\n"),
+        _bad_adversary(
+            "bins-not-list", {"default": {"cycle": [[0.3]], "bins": 0.3}},
+            "error: adversary bins for 10 must be a list\n"),
+    ])
+    def test_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, argv, files, stderr
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text)
+        assert main([*argv, "--manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+class TestRoundsThreeDiscount:
+    def test_run_prices_agreement_as_play(self, capsys):
+        """A round-3 agreement at delta 0.8 pays the Python scalar
+        ``0.8 ** 2``, as ``play`` does, not numpy's ``0.64``."""
+        argv = ["run", "--rounds", "3", "--grid", "4", "--delta", "0.8",
+                "--rate", "9", "--reg", "1", "--horizon", "30",
+                "--wp", "0,1,1", "--wr", "1,0,1",
+                "--alpha-p", "0,1,1", "--alpha-r", "1,0,1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert '"payoff_R": 0.6400000000000001' in out
+        assert json.loads(out)["result"]["payoff_R"] == 0.8 ** 2

@@ -917,6 +917,29 @@ class TestScheduleRegret:
         assert got == want
         assert external_regret(game, config.owner, played, adversary) == want
 
+    @pytest.mark.parametrize("rounds,grid", [(3, 4), (4, 3)])
+    def test_matches_stepwise_learner_past_two_rounds(self, rounds, grid):
+        """Bit for bit where agreements are discounted by ``delta ** 2`` and
+        more, on grid plays: the ``ftrl.step`` loop scores them as the pure
+        strategy, ``schedule_regret`` at their grid values."""
+        rng = np.random.default_rng(rounds)
+        for delta, case in itertools.product((0.8, 0.99), range(12)):
+            game = GameConfig(rounds=rounds, grid=grid, delta=delta)
+            bins = [sorted(rng.choice(grid + 1, 2, replace=False) / grid)
+                    for _ in range(rounds)]
+            plays = [tuple(float(rng.choice(b)) for b in bins) for _ in range(30)]
+            adversary = make_adversary(game, plays, bins=bins)
+            entries = rng.integers(0, grid + 1, (2, rounds))
+            config = LearnerConfig(
+                owner="PR"[case % 2], reg=1 + case // 6,
+                rate=float(rng.choice([1.7, 9.0, 25.0])), horizon=30,
+                anchor=Strategy(tuple(entries[0]), grid),
+                initial=Strategy(tuple(entries[1]), grid),
+            )
+            want, _ = _stepwise_regret(game, config, adversary)
+            got = dynamics.schedule_regret(game, config, adversary)
+            assert got == want, (delta, case)
+
     def test_checks_its_inputs(self):
         game = GameConfig(rounds=1, grid=4, delta=0.9)
         adversary = make_adversary(game, [(0.25,), (0.5,)])

@@ -264,6 +264,50 @@ def test_payoff_matrices_match_feedback_columns():
         np.testing.assert_allclose(U_R[j, :], feedback_vector(cfg, "R", opp).values, atol=1e-15)
 
 
+@pytest.mark.parametrize("rounds,grid", [(3, 4), (4, 3), (5, 2)])
+def test_payoff_matrices_equal_play_bit_for_bit(rounds, grid):
+    """Every table entry is ``play``'s float.  Both discount round k by the
+    Python scalar ``delta ** (k - 1)``; numpy's array power is off by an ulp
+    at some exponents >= 2 (0.8 ** 2, 0.1 ** 2, 0.99 ** 3, 0.64 ** 3)."""
+    for delta in (0.8, 0.1, 0.99, 0.64):
+        cfg = GameConfig(rounds=rounds, grid=grid, delta=delta)
+        U_P, U_R = payoff_matrices(cfg)
+        strategies = all_strategies(cfg)
+        for i, sp in enumerate(strategies):
+            for j, sr in enumerate(strategies):
+                out = play(cfg, sp, sr)
+                assert (U_P[i, j], U_R[i, j]) == (out.payoff_P, out.payoff_R), (
+                    delta, sp, sr
+                )
+
+
+def test_pure_opponent_reads_build_no_table():
+    """Reads against one pure opponent take one kernel row.  N = 1681: the
+    two payoff tables would hold 45 MB."""
+    from bargainlab.ftrl import LearnerConfig, make_learner, step
+
+    cfg = GameConfig(rounds=2, grid=40, delta=0.9)
+    proposer, responder = Strategy((0, 40), 40), Strategy((0, 13), 40)
+    before = payoff_matrices.cache_info()
+    vector = feedback_vector(cfg, "P", responder)
+    assert vector[proposer] == 1.0
+    assert best_responses(cfg, "R", proposer)[0] == Strategy((0, 0), 40)
+    assert is_pure_ne(cfg, proposer, responder)
+    assert not is_pure_ne(cfg, Strategy((1, 40), 40), responder)
+    assert equilibrium_value(cfg, proposer, responder) == 0.0
+    for owner in ("P", "R"):
+        state = make_learner(cfg, LearnerConfig(
+            owner=owner, reg=1, rate=100.0, horizon=2,
+            anchor=responder, initial=responder,
+        ))
+        step(state, proposer)
+        step(state, (0.0, 0.325))  # on the grid: (0, 13)
+        want = (feedback_vector(cfg, owner, proposer).values
+                + feedback_vector(cfg, owner, responder).values)
+        np.testing.assert_array_equal(state.cumulative, want)
+    assert payoff_matrices.cache_info() == before
+
+
 # ---------------------------------------------------------------------------
 # best responses and pure equilibria
 # ---------------------------------------------------------------------------
