@@ -344,19 +344,6 @@ def _wrap_value_error(builder, *args, **kwargs):
         raise ConfigError(str(exc))
 
 
-def _learners(
-    reg: int, rate: float, grid: int, horizon: int, initials, anchors
-) -> Tuple[LearnerConfig, LearnerConfig]:
-    """Proposer and responder configs from (P, R) initial and anchor entries."""
-    return tuple(
-        LearnerConfig(
-            owner=owner, reg=reg, rate=rate, anchor=Strategy(anchor, grid),
-            initial=Strategy(initial, grid), horizon=horizon,
-        )
-        for owner, initial, anchor in zip("PR", initials, anchors)
-    )
-
-
 def _learning(
     settings: Settings, initial_p: Tuple[int, ...], initial_r: Tuple[int, ...]
 ) -> Tuple[GameConfig, LearnerConfig, LearnerConfig]:
@@ -366,9 +353,15 @@ def _learning(
     game = _wrap_value_error(
         GameConfig, rounds=settings["rounds"], grid=grid, delta=settings["delta"]
     )
-    proposer, responder = _wrap_value_error(
-        _learners, settings["reg"], settings["rate"], grid, settings["horizon"],
-        (initial_p, initial_r), (settings["alpha-p"], settings["alpha-r"]),
+    proposer, responder = (
+        _wrap_value_error(
+            LearnerConfig, owner=owner, reg=settings["reg"], rate=settings["rate"],
+            anchor=Strategy(settings[anchor], grid), initial=Strategy(initial, grid),
+            horizon=settings["horizon"],
+        )
+        for owner, initial, anchor in (
+            ("P", initial_p, "alpha-p"), ("R", initial_r, "alpha-r")
+        )
     )
     warning = proposer.rate_warning_for(game)
     if warning:
@@ -425,17 +418,20 @@ def cmd_run(settings: Settings) -> int:
 def _sweep_chunk(payload) -> list:
     """Run one contiguous block of sweep cells (used by worker processes).
 
-    Returns one result tuple (converged, t_converge, ne_round, ne_value,
-    payoff_P, payoff_R) per cell, in cell order.
+    ``payload`` is (game, proposer, responder, cells): the two learners hold
+    for every cell but their initials, which each cell gives as (P, R) grid
+    entries.  Returns one result tuple (converged, t_converge, ne_round,
+    ne_value, payoff_P, payoff_R) per cell, in cell order.
     """
-    (rounds, grid, delta, rate, reg, horizon, alpha_p, alpha_r, cells) = payload
-    game = GameConfig(rounds=rounds, grid=grid, delta=delta)
+    game, pc, rc, cells = payload
     rows = []
-    if reg != 1:
+    if not pc.reg == rc.reg == 1:
         for p_entries, r_entries in cells:
-            record = self_play(game, *_learners(
-                reg, rate, grid, horizon, (p_entries, r_entries), (alpha_p, alpha_r)
-            ))
+            record = self_play(
+                game,
+                replace(pc, initial=Strategy(p_entries, game.grid)),
+                replace(rc, initial=Strategy(r_entries, game.grid)),
+            )
             rows.append((
                 record.converged_at is not None, record.converged_at, record.ne_round,
                 record.ne_value, record.payoff_P, record.payoff_R,
@@ -443,12 +439,13 @@ def _sweep_chunk(payload) -> list:
         return rows
 
     def index(entries: Tuple[int, ...]) -> int:
-        return strategy_index(game, Strategy(entries, grid))
+        return strategy_index(game, Strategy(entries, game.grid))
 
     batch = batch_self_play(
-        game, rate, horizon,
+        game, (pc.rate, rc.rate), pc.horizon,
         [index(p) for p, _ in cells], [index(r) for _, r in cells],
-        [index(alpha_p)] * len(cells), [index(alpha_r)] * len(cells),
+        [strategy_index(game, pc.anchor)] * len(cells),
+        [strategy_index(game, rc.anchor)] * len(cells),
     )
     for b in range(len(cells)):
         converged = bool(batch.converged_at[b] >= 0)
@@ -502,15 +499,11 @@ def cmd_sweep(settings: Settings) -> int:
         raise ConfigError(f"aggregation {agg!r} needs at most two rounds, got {rounds}")
     if args.svg and agg == "none":
         raise ConfigError("svg output requires an aggregation mode (--agg)")
-    alpha_p, alpha_r = settings["alpha-p"], settings["alpha-r"]
-    _learning(settings, alpha_p, alpha_r)
+    # the anchors stand in as initials: each cell replaces them
+    learning = _learning(settings, settings["alpha-p"], settings["alpha-r"])
 
     cells = [(p, r) for p in cells_p for r in cells_r]
-    payload_base = (
-        rounds, grid, settings["delta"], settings["rate"], settings["reg"],
-        settings["horizon"], alpha_p, alpha_r,
-    )
-    results = _wrap_value_error(_run_sweep_cells, payload_base, cells, settings["jobs"])
+    results = _wrap_value_error(_run_sweep_cells, learning, cells, settings["jobs"])
 
     header = (
         [f"wp{i}_init" for i in range(1, rounds + 1)]

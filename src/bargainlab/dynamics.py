@@ -34,6 +34,7 @@ import numpy as np
 from bargainlab.ftrl import (
     LearnerConfig,
     Play,
+    _check_rate,
     _scored_values,
     handicapped,
     make_learner,
@@ -96,7 +97,7 @@ _BLOCK_BYTES = 1 << 19
 
 def batch_self_play(
     game: GameConfig,
-    rate: float,
+    rate: float | tuple[float, float],
     horizon: int,
     initial_P: np.ndarray,
     initial_R: np.ndarray,
@@ -106,9 +107,10 @@ def batch_self_play(
     """Run pure-play (reg=1) self-play for many initial conditions at once.
 
     All four strategy arguments are arrays of flat strategy indices with a
-    common length B.  The selection rule is :func:`ftrl.next_plays` with
-    ``reg=1``: the largest index whose handicapped cumulative utility is
-    within ``PAYOFF_TOL`` of the maximum.
+    common length B.  ``rate`` is one rate for both learners or a
+    ``(rate_P, rate_R)`` pair.  The selection rule is :func:`ftrl.next_plays`
+    with ``reg=1`` at each learner's own rate: the largest index whose
+    handicapped cumulative utility is within ``PAYOFF_TOL`` of the maximum.
 
     The engine is event-driven.  While both plays stay fixed, every
     objective grows along a straight line, so the first step at which
@@ -135,8 +137,9 @@ def batch_self_play(
             raise ValueError("strategy index out of range")
     if not isinstance(horizon, int) or horizon < 1:
         raise ValueError("horizon must be a positive integer")
-    if not rate > 0:
-        raise ValueError("rate must be positive")
+    rate_P, rate_R = rate if isinstance(rate, tuple) else (rate, rate)
+    for r in (rate_P, rate_R):
+        _check_rate(r)
 
     B = iP.shape[0]
     U_P, U_R = payoff_matrices(game)
@@ -145,7 +148,7 @@ def batch_self_play(
     for lo in range(0, B, block):
         part = slice(lo, lo + block)
         profiles[part] = _play_block(
-            U_P, U_R, rate, horizon,
+            U_P, U_R, rate_P, rate_R, horizon,
             iP[part], iR[part], aP[part], aR[part],
         )
     return _detect_batch(game, profiles)
@@ -154,7 +157,8 @@ def batch_self_play(
 def _play_block(
     U_P: np.ndarray,
     U_R: np.ndarray,
-    rate: float,
+    rate_P: float,
+    rate_R: float,
     T: int,
     cur_P: np.ndarray,
     cur_R: np.ndarray,
@@ -181,8 +185,8 @@ def _play_block(
         left = T - 1 - t
         jump = np.minimum(
             np.minimum(
-                _leave_offset(handicapped(cum_P, anc_P, rate), fb_P, cur_P),
-                _leave_offset(handicapped(cum_R, anc_R, rate), fb_R, cur_R),
+                _leave_offset(handicapped(cum_P, anc_P, rate_P), fb_P, cur_P),
+                _leave_offset(handicapped(cum_R, anc_R, rate_R), fb_R, cur_R),
             ),
             left,
         ).astype(np.int64)
@@ -193,8 +197,8 @@ def _play_block(
         cum_P = cum_P[go] + jump[:, None] * fb_P[go]
         cum_R = cum_R[go] + jump[:, None] * fb_R[go]
         t = t + jump + 1
-        cur_P = next_plays(cum_P, anc_P, rate, 1)
-        cur_R = next_plays(cum_R, anc_R, rate, 1)
+        cur_P = next_plays(cum_P, anc_P, rate_P, 1)
+        cur_R = next_plays(cum_R, anc_R, rate_R, 1)
         log.append((cells, t, cur_P, cur_R))
 
     cell, start, play_P, play_R = (np.concatenate(col) for col in zip(*log))
@@ -361,8 +365,9 @@ def self_play(
 
     Each step both agents observe the opponent's play of that step and update
     simultaneously.  Both configs must agree on the horizon.  Pure-play pairs
-    (reg=1 on both sides with one shared rate) go through the event-driven
-    batch engine; any other combination runs the stepwise learners directly.
+    (reg=1 on both sides, at each learner's own rate) go through the
+    event-driven batch engine; a pair with a reg=2 learner runs the stepwise
+    learners directly.
     Either way the recorded profiles are what each learner actually played,
     and convergence is decided by the batch detector on their indices.
     """
@@ -372,16 +377,15 @@ def self_play(
     if pc.horizon != rc.horizon:
         raise ValueError("both learners must share one horizon")
 
-    if pc.reg == rc.reg == 1 and pc.rate == rc.rate:
+    if pc.reg == rc.reg == 1:
         starts = (pc.initial, rc.initial, pc.anchor, rc.anchor)
         batch = batch_self_play(
-            game, pc.rate, pc.horizon,
+            game, (pc.rate, rc.rate), pc.horizon,
             *(np.array([strategy_index(game, s)]) for s in starts),
         )
-        profiles = [
-            (strategy_from_index(game, int(p)), strategy_from_index(game, int(r)))
-            for p, r in batch.profiles[0]
-        ]
+        log = batch.profiles[0]
+        pure = {k: strategy_from_index(game, k) for k in np.unique(log).tolist()}
+        profiles = [(pure[p], pure[r]) for p, r in log.tolist()]
         payoffs = batch.payoff_P[0], batch.payoff_R[0]
     else:
         profiles = _self_play_stepwise(game, pc, rc)

@@ -21,6 +21,7 @@ opponent's actual play, and accumulates that vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -135,8 +136,7 @@ class LearnerConfig:
             raise ValueError(f"owner must be 'P' or 'R', got {self.owner!r}")
         if self.reg not in (1, 2):
             raise ValueError(f"reg must be 1 or 2, got {self.reg!r}")
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate!r}")
+        _check_rate(self.rate)
         if not np.isfinite(self.rate):
             raise ValueError(f"rate must be finite, got {self.rate!r}")
         if not isinstance(self.horizon, int) or self.horizon < 1:
@@ -208,6 +208,17 @@ def _feedback(
         w = opponent_play.weights
         return U_P @ w if owner == "P" else U_R.T @ w
     raise TypeError(f"opponent play must be Strategy or MixedStrategy, got {opponent_play!r}")
+
+
+def _check_rate(rate: float) -> None:
+    """Raise ValueError unless ``rate`` is positive and its anchor handicap
+    ``2 / rate`` is finite (an infinite rate has handicap 0)."""
+    if not rate > 0:
+        raise ValueError(f"rate must be positive, got {rate!r}")
+    if not math.isfinite(2.0 / float(rate)):
+        raise ValueError(
+            f"rate {rate!r} is too small: its anchor handicap 2 / rate overflows"
+        )
 
 
 def handicapped(cum: np.ndarray, anchor: np.ndarray | int, rate: float) -> np.ndarray:

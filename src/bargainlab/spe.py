@@ -78,12 +78,18 @@ def _require_unit_interval(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _require_tau(tau: float) -> None:
+    """At tau = 1 opting out costs nothing, and every bound divides by 1 - tau."""
+    if not 0.0 <= tau < 1.0:
+        raise ValueError(f"tau must lie in [0, 1), got {tau}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Market primitives: per-round discount ``delta``, opt-out haircut
     ``tau`` (an opting-out player keeps ``tau`` times its steady-state match
-    value), and the probability ``p`` that a firm's next match is with a
-    type-1 candidate."""
+    value, in [0, 1)), and the probability ``p`` that a firm's next match is
+    with a type-1 candidate."""
 
     delta: float
     tau: float
@@ -92,14 +98,16 @@ class MarketParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        _require_unit_interval("tau", self.tau)
+        _require_tau(self.tau)
         _require_unit_interval("p", self.p)
 
     @property
     def in_theorem1_regime(self) -> bool:
         """Whether opting out is cheap enough for the folk-theorem-style
-        feasibility characterization to apply: tau <= delta^2/(1+delta)."""
-        return self.tau <= self.delta * self.delta / (1.0 + self.delta)
+        feasibility characterization to apply: tau <= delta^2/(1+delta), up
+        to BOUNDARY_TOL like every other weak feasibility inequality."""
+        bound = self.delta * self.delta / (1.0 + self.delta)
+        return self.tau <= bound + BOUNDARY_TOL
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ def feasibility_violations(mp: MarketParams, target: PayoffTarget) -> List[str]:
     ``w1-lower``, ``w2-lower``.
     """
     violations = []
-    if mp.tau > mp.delta * mp.delta / (1.0 + mp.delta) + BOUNDARY_TOL:
+    if not mp.in_theorem1_regime:
         violations.append("tau-regime")
     _, G = w_bounds(mp)
     if target.w1 > G + BOUNDARY_TOL:
@@ -597,7 +605,7 @@ class MultiMarketParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        _require_unit_interval("tau", self.tau)
+        _require_tau(self.tau)
         object.__setattr__(self, "p_vec", tuple(float(x) for x in self.p_vec))
         object.__setattr__(self, "q_vec", tuple(float(x) for x in self.q_vec))
         object.__setattr__(
@@ -686,7 +694,8 @@ def multi_discriminatory(
     """
     if m < 1 or n < 1:
         raise ValueError(f"market shape must be at least 1x1, got {m}x{n}")
-    if tau > delta * delta / (1.0 + delta):
+    market = MarketParams(delta=delta, tau=tau, p=0.5)
+    if not market.in_theorem1_regime:
         raise ValueError(
             f"tau={tau} exceeds the supportable regime bound for delta={delta}"
         )
@@ -698,7 +707,7 @@ def multi_discriminatory(
         p_vec = tuple(1.0 / m for _ in range(m))
     if q_vec is None:
         q_vec = tuple(1.0 / n for _ in range(n))
-    L, G = w_bounds(MarketParams(delta=delta, tau=tau, p=0.5))
+    L, G = w_bounds(market)
     g = 0.5 * (0.5 + G)  # above-half entry, strictly below G
     if target_candidate is None:
         W = tuple(tuple(g for _ in range(n)) for _ in range(m))

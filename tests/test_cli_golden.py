@@ -383,3 +383,55 @@ def test_reg2_manifest_replays(workdir, name):
             replay += [flag, value]
     assert main(replay) == code
     assert _digests(workdir, expected) == expected
+
+
+VERIFY_SPE = ["verify-spe", "--delta", "0.9", "--p", "0.5", "--w1", "0.5", "--w2", "0.5"]
+TAU_ONE = "error: tau must lie in [0, 1), got 1.0\n"
+RATE_OVERFLOW = (
+    "error: rate 1e-320 is too small: its anchor handicap 2 / rate overflows\n"
+)
+
+# A rate whose handicap 2 / rate overflows played NaN objectives, and tau = 1
+# divided by zero in the bounds.  (argv, stderr)
+DOMAIN_EDGES = {
+    "run-subnormal-rate": ([*RUN_1, "--rate", "1e-320"], RATE_OVERFLOW),
+    "sweep-subnormal-rate": (
+        [*SWEEP_1, "--wp", "0.75", "--rate", "1e-320"], RATE_OVERFLOW,
+    ),
+    "regret-subnormal-rate": (
+        [*REGRET_2, "--reg", "1", "--rate", "1e-320"], RATE_OVERFLOW,
+    ),
+    "verify-spe-tau-one": ([*VERIFY_SPE, "--tau", "1.0"], TAU_ONE),
+    "spe-region-tau-one": (
+        ["spe-region", "--delta", "0.9", "--tau", "1.0", "--p", "0.5"], TAU_ONE,
+    ),
+    "gaps-tau-one": (
+        ["spe-region", "--delta", "0.9", "--tau", "1.0", "--p", "0.5",
+         "--mode", "gaps"], TAU_ONE,
+    ),
+    "gaps-tau-one-p-one": (
+        ["spe-region", "--delta", "0.9", "--tau", "1.0", "--p", "1",
+         "--mode", "gaps"], TAU_ONE,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_EDGES))
+def test_domain_edge_exits_2_and_writes_nothing(workdir, capsys, name):
+    argv, stderr = DOMAIN_EDGES[name]
+    before = sorted(p.name for p in workdir.iterdir())
+    assert main([*argv, "--out", "out.txt", "--manifest", "m.json"]) == 2
+    assert capsys.readouterr().err == stderr
+    assert sorted(p.name for p in workdir.iterdir()) == before
+
+
+def test_tau_within_boundary_tol_of_the_regime_is_in_it(workdir):
+    """tau = delta^2/(1+delta) + 5e-13 is inside the regime up to
+    BOUNDARY_TOL, so its feasible rows carry no out-of-regime warning."""
+    argv = ["spe-region", "--delta", "0.9", "--tau", "0.42631578947418425",
+            "--p", "0.5", "--resolution", "5", "--out", "region.csv"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in
+            (workdir / "region.csv").read_text().splitlines()[1:]]
+    assert sum(row[2] == "true" for row in rows) == 7
+    assert all(row[6] == "" for row in rows)

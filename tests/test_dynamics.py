@@ -966,3 +966,86 @@ class TestScheduleRegret:
         want, played = _stepwise_regret(game, config, adversary)
         assert played[6] == Strategy((9,), 10)
         assert dynamics.schedule_regret(game, config, adversary) == want
+
+
+# ---------------------------------------------------------------------------
+# one rate per learner on the event engine
+# ---------------------------------------------------------------------------
+
+
+class TestRatePerLearner:
+    def test_unequal_reg1_rates_run_on_the_engine(self):
+        """Run B with rates 40 / 41 never reaches the stepwise learners."""
+        pc = lcfg(G2, "P", (8, 8), (2, 6), rate=40.0, horizon=500)
+        rc = lcfg(G2, "R", (15, 1), (9, 14), rate=41.0, horizon=500)
+        want = _self_play_stepwise(G2, pc, rc)
+        with mock.patch.object(
+            dynamics, "_self_play_stepwise", side_effect=AssertionError("stepwise")
+        ):
+            rec = self_play(G2, pc, rc)
+        assert rec.profiles == want
+        assert rec.converged_at == 427 and rec.ne_value == 0.9375
+        assert (rec.payoff_P, rec.payoff_R) == (0.0625, 0.9375)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_property_rate_pair_matches_stepwise_learners(self, data):
+        """Event engine with ``(rate_P, rate_R)`` == reg=1 ftrl learners.
+
+        Draws as in ``TestBatchEngine.test_property_matches_stepwise_learners``,
+        but each learner's rate is drawn on its own.
+        """
+        rounds = data.draw(st.integers(1, 3), label="rounds")
+        grid = data.draw(st.integers(2, 6), label="grid")
+        delta = data.draw(st.integers(1, 100), label="delta_pct") / 100
+        game = GameConfig(rounds=rounds, grid=grid, delta=delta)
+        n = game.strategy_count
+        rate = st.one_of(
+            st.integers(2 * grid + 1, 1000), st.integers(1, 2 * grid), st.just(grid)
+        ).map(float)
+        rate_P, rate_R = data.draw(rate, label="rate_P"), data.draw(rate, label="rate_R")
+        horizon = data.draw(st.integers(1, 60), label="horizon")
+        cells = data.draw(st.integers(2, 12), label="cells")
+        index = st.lists(st.integers(0, n - 1), min_size=cells, max_size=cells)
+        iP, iR, aP, aR = (
+            np.array(data.draw(index, label=name))
+            for name in ("initial_P", "initial_R", "anchor_P", "anchor_R")
+        )
+        block = data.draw(st.integers(1, cells), label="block")
+
+        with mock.patch.object(dynamics, "_BLOCK_BYTES", 8 * n * block):
+            res = batch_self_play(game, (rate_P, rate_R), horizon, iP, iR, aP, aR)
+
+        def learner(owner, rate, initial, anchor):
+            return LearnerConfig(
+                owner=owner, reg=1, rate=rate, horizon=horizon,
+                initial=strategy_from_index(game, int(initial)),
+                anchor=strategy_from_index(game, int(anchor)),
+            )
+
+        for b in range(cells):
+            plays = _self_play_stepwise(
+                game,
+                learner("P", rate_P, iP[b], aP[b]),
+                learner("R", rate_R, iR[b], aR[b]),
+            )
+            want = [[strategy_index(game, p), strategy_index(game, r)] for p, r in plays]
+            assert res.profiles[b].tolist() == want, b
+            det = detect_convergence(game, plays)
+            if det is None:
+                assert res.converged_at[b] == -1
+                assert np.isnan(res.ne_value[b]) and res.ne_round[b] == 0
+                continue
+            t_conv, profile, value = det
+            assert res.converged_at[b] == t_conv
+            assert res.ne_round[b] == (play(game, *profile).agreement_round or 0)
+            if value is None:
+                assert np.isnan(res.ne_value[b])
+            else:
+                assert res.ne_value[b] == value
+
+    @pytest.mark.parametrize("bad", [0.0, -40.0, float("nan"), 1e-320])
+    def test_engine_rejects_a_bad_rate_in_either_position(self, bad):
+        for rate in (bad, (bad, 40.0), (40.0, bad)):
+            with pytest.raises(ValueError, match="rate"):
+                batch_self_play(G1, rate, 10, [0], [1], [2], [3])

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from bargainlab.spe import (
+    _scan_offers,
     Deviation,
     EquilibriumCertificate,
     FeasibilityError,
@@ -529,3 +530,52 @@ def test_high_outside_option_triggers_responder_walk_away():
         if d.node == "optout":
             assert d.agent != d.proposer and d.pairing == 1
             assert d.action == "opt-out" and np.isnan(d.offer)
+
+
+# ---------------------------------------------------------------------------
+# the tau domain and the one regime decision
+# ---------------------------------------------------------------------------
+
+
+def test_tau_one_is_outside_the_domain():
+    with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\), got 1.0"):
+        MarketParams(delta=0.9, tau=1.0, p=0.5)
+    with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\), got 1.0"):
+        MultiMarketParams(
+            delta=0.9, tau=1.0, p_vec=(1.0,), q_vec=(1.0,), W=((0.5,),)
+        )
+
+
+@pytest.mark.parametrize("excess, inside", [(5e-13, True), (2e-12, False)])
+def test_every_regime_decision_allows_boundary_tol(excess, inside):
+    tau = 0.81 / 1.9 + excess
+    mp = MarketParams(delta=0.9, tau=tau, p=0.5)
+    assert mp.in_theorem1_regime is inside
+    assert ("tau-regime" in feasibility_violations(mp, PayoffTarget(0.5, 0.5))) is not inside
+    if inside:
+        assert multi_feasible(multi_discriminatory(2, 2, delta=0.9, tau=tau))
+    else:
+        with pytest.raises(ValueError, match="regime"):
+            multi_discriminatory(2, 2, delta=0.9, tau=tau)
+
+
+def test_scan_reports_the_firms_proposal_deviation():
+    """A firm share z_fc1 = u_f / 2 is below the firm's outside option:
+    every base-state offer below the candidate's threshold 1 - z_fc1 gets
+    rejected and pays the firm u_f instead, a gain of u_f - z_fc1."""
+    mp = MarketParams(delta=0.9, tau=0.4, p=0.5)
+    cert = construct_certificate(mp, PayoffTarget(0.5, 0.5))
+    broken = dataclasses.replace(cert, z_fc1=cert.u_f / 2)
+    assert broken.u_f - broken.z_fc1 == pytest.approx(0.1, abs=1e-15)
+    devs = [d for d in one_shot_deviation_scan(broken, mp) if d.node == "proposal"]
+    assert devs
+    for d in devs:
+        assert (d.pairing, d.state, d.proposer, d.agent, d.action) == (
+            1, "base", "firm", "firm", "propose"
+        )
+        assert d.gain == broken.u_f - broken.z_fc1
+        assert d.offer < 1.0 - broken.z_fc1
+    threshold = 1.0 - broken.z_fc1
+    assert [d.offer for d in devs] == [
+        o for o in _scan_offers(broken, 200).tolist() if o < threshold
+    ]
