@@ -29,7 +29,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .game import GameConfig, snap_share, strategy_index
 from .reports import RunManifest, heatmap_svg, write_csv, write_json, write_text
 from .spe import (
     MarketParams, PayoffTarget, construct_certificate, expected_match_payoffs,
-    feasibility_violations, one_shot_deviation_scan, payoff_gaps, prop2_check,
-    theorem1_feasible,
+    feasibility_violations, feasible_payoffs, one_shot_deviation_scan,
+    payoff_gaps, prop2_check,
 )
 
 EXIT_OK = 0
@@ -554,42 +554,33 @@ def cmd_spe_region(settings: Settings) -> int:
     delta, tau, p = settings["delta"], settings["tau"], settings["p"]
     mode, resolution = settings["mode"], settings["resolution"]
     params = _wrap_value_error(MarketParams, delta=delta, tau=tau, p=p)
+    warning = ""
+    if not params.in_theorem1_regime:
+        bound = delta * delta / (1.0 + delta)
+        warning = (
+            f"tau={tau!r} exceeds delta^2/(1+delta)={bound!r}; "
+            "no feasible targets exist"
+        )
 
     if mode == "gaps":
+        if warning:
+            print(f"warning: {warning}", file=sys.stderr)
         gaps = payoff_gaps(params)
         header = ["delta", "tau", "p", "candidate_gap", "firm_gap"]
-        rows: list = [(delta, tau, p, gaps.candidate_gap, gaps.firm_gap)]
+        rows: Iterable = [(delta, tau, p, gaps.candidate_gap, gaps.firm_gap)]
     else:
         if mode == "enumerate":
-            lattice = [i / (resolution - 1) for i in range(resolution)]
-            targets = [(w1, w2) for w1 in lattice for w2 in lattice]
+            lattice = np.arange(resolution) / (resolution - 1)
+            w1, w2 = np.repeat(lattice, resolution), np.tile(lattice, resolution)
         else:
             settings.seed = settings["seed"]
             rng = np.random.default_rng(settings.seed)
-            targets = [(float(rng.random()), float(rng.random()))
-                       for _ in range(settings["samples"])]
-        warning = ""
-        if not params.in_theorem1_regime:
-            bound = delta * delta / (1.0 + delta)
-            warning = (
-                f"tau={tau!r} exceeds delta^2/(1+delta)={bound!r}; "
-                "no feasible targets exist"
-            )
+            w1, w2 = rng.random((settings["samples"], 2)).T
+        columns = (w1, w2, *feasible_payoffs(params, w1, w2))
         header = ["w1", "w2", "feasible", "W_f", "W_c1", "W_c2", "warning"]
-        rows = []
-        for w1, w2 in targets:
-            target = PayoffTarget(w1, w2)
-            feasible = theorem1_feasible(params, target)
-            if feasible:
-                cert = construct_certificate(params, target)
-                if not prop2_check(cert, params):  # pragma: no cover
-                    raise RuntimeError(
-                        "internal error: feasible target failed the stationarity check"
-                    )
-                w_f, w_c1, w_c2 = cert.W_f, cert.W_c1, cert.W_c2
-            else:
-                w_f = w_c1 = w_c2 = None
-            rows.append((w1, w2, feasible, w_f, w_c1, w_c2, warning))
+        # a block of rows at a time: whole columns as Python objects cost memory
+        rows = ((*row, warning) for start in range(0, len(w1), 4096)
+                for row in zip(*(c[start:start + 4096].tolist() for c in columns)))
 
     write_csv(settings.args.out, header, rows)
     return EXIT_OK

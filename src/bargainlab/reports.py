@@ -16,7 +16,7 @@ import math
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "RunManifest",
@@ -70,9 +70,10 @@ def fmt(value) -> str:
 
 
 def write_csv(
-    path: Optional[str], header: Sequence[str], rows: Sequence[Sequence]
+    path: Optional[str], header: Sequence[str], rows: Iterable[Sequence]
 ) -> None:
-    """Write one CSV table to ``path`` (or stdout when None)."""
+    """Write one CSV table to ``path`` (or stdout when None).  ``rows`` may be
+    any iterable; it is consumed once, as the rows are written."""
 
     def _emit(fh) -> None:
         writer = csv.writer(fh)

@@ -7,7 +7,7 @@ fraction ``tau`` of the player's steady-state expected match payoff.  The
 module answers four questions:
 
 * which long-run payoff targets ``(w1, w2)`` for the firm are supportable
-  (:func:`theorem1_feasible`),
+  (:func:`theorem1_feasible`, and :func:`feasible_payoffs` over arrays),
 * how to exhibit supporting strategies as an explicit certificate of
   per-pairing splits and outside options (:func:`construct_certificate`),
 * whether a certificate is self-consistent (:func:`prop2_check`) and immune
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "construct_certificate",
     "expected_match_payoffs",
     "feasibility_violations",
+    "feasible_payoffs",
     "multi_constraint_rhs",
     "multi_discriminatory",
     "multi_feasible",
@@ -148,6 +149,19 @@ def w2_lower_bound(mp: MarketParams, w1: float) -> float:
     )
 
 
+def _support_conditions(mp: MarketParams, w1, w2) -> Dict[str, object]:
+    """Each support condition's name -> whether the target (w1, w2) violates
+    it by more than BOUNDARY_TOL; w1 and w2 are floats or arrays."""
+    _, G = w_bounds(mp)
+    return {
+        "tau-regime": not mp.in_theorem1_regime,
+        "w1-upper": w1 > G + BOUNDARY_TOL,
+        "w2-upper": w2 > G + BOUNDARY_TOL,
+        "w1-lower": w1 < w1_lower_bound(mp, w2) - BOUNDARY_TOL,
+        "w2-lower": w2 < w2_lower_bound(mp, w1) - BOUNDARY_TOL,
+    }
+
+
 def feasibility_violations(mp: MarketParams, target: PayoffTarget) -> List[str]:
     """Names of the support conditions the target violates by more than
     BOUNDARY_TOL (empty == feasible).
@@ -155,24 +169,22 @@ def feasibility_violations(mp: MarketParams, target: PayoffTarget) -> List[str]:
     Possible entries: ``tau-regime``, ``w1-upper``, ``w2-upper``,
     ``w1-lower``, ``w2-lower``.
     """
-    violations = []
-    if not mp.in_theorem1_regime:
-        violations.append("tau-regime")
-    _, G = w_bounds(mp)
-    if target.w1 > G + BOUNDARY_TOL:
-        violations.append("w1-upper")
-    if target.w2 > G + BOUNDARY_TOL:
-        violations.append("w2-upper")
-    if target.w1 < w1_lower_bound(mp, target.w2) - BOUNDARY_TOL:
-        violations.append("w1-lower")
-    if target.w2 < w2_lower_bound(mp, target.w1) - BOUNDARY_TOL:
-        violations.append("w2-lower")
-    return violations
+    conditions = _support_conditions(mp, target.w1, target.w2)
+    return [name for name, violated in conditions.items() if violated]
 
 
 def theorem1_feasible(mp: MarketParams, target: PayoffTarget) -> bool:
     """Whether the payoff target is supportable in a stationary equilibrium."""
     return not feasibility_violations(mp, target)
+
+
+def feasible_payoffs(mp: MarketParams, w1: np.ndarray, w2: np.ndarray) -> Tuple:
+    """Per target of the arrays (w1, w2): whether it is supportable, and the
+    (W_f, W_c1, W_c2) its certificate would carry, NaN where it is not."""
+    conditions = _support_conditions(mp, w1, w2).values()
+    feasible = ~np.logical_or.reduce(np.broadcast_arrays(*conditions))
+    W = (np.where(feasible, x, np.nan) for x in _match_payoffs(mp, w1, w2))
+    return (feasible, *W)
 
 
 def sample_feasible_instance(
@@ -229,6 +241,11 @@ class EquilibriumCertificate:
     W_c2: float
 
 
+def _match_payoffs(mp: MarketParams, w1, w2) -> Tuple:
+    """Steady-state match payoffs (W_f, W_c1, W_c2) at firm shares (w1, w2)."""
+    return mp.p * w1 + (1.0 - mp.p) * w2, 1.0 - w1, 1.0 - w2
+
+
 def _z_interval(
     delta: float, w: float, u_own: float, u_other: float
 ) -> Tuple[float, float]:
@@ -259,11 +276,10 @@ def construct_certificate(
         raise FeasibilityError(
             "target not supportable; violated: " + ", ".join(violations)
         )
-    W_f = mp.p * target.w1 + (1.0 - mp.p) * target.w2
-    u_f = mp.tau * W_f
+    W_f, W_c1, W_c2 = _match_payoffs(mp, target.w1, target.w2)
+    u_f, u_c1, u_c2 = mp.tau * W_f, mp.tau * W_c1, mp.tau * W_c2
     shares = {}
-    for k, w in ((1, target.w1), (2, target.w2)):
-        u_c = mp.tau * (1.0 - w)
+    for k, w, u_c in ((1, target.w1, u_c1), (2, target.w2, u_c2)):
         lo, hi = _z_interval(mp.delta, w, u_f, u_c)
         if lo > hi + BOUNDARY_TOL:
             raise FeasibilityError(
@@ -280,15 +296,15 @@ def construct_certificate(
     return EquilibriumCertificate(
         params=mp,
         u_f=u_f,
-        u_c1=mp.tau * (1.0 - target.w1),
-        u_c2=mp.tau * (1.0 - target.w2),
+        u_c1=u_c1,
+        u_c2=u_c2,
         z_fc1=shares[1][0],
         z_fc2=shares[2][0],
         z_c1f=shares[1][1],
         z_c2f=shares[2][1],
         W_f=W_f,
-        W_c1=1.0 - target.w1,
-        W_c2=1.0 - target.w2,
+        W_c1=W_c1,
+        W_c2=W_c2,
     )
 
 
@@ -321,11 +337,10 @@ def prop2_check(
             return False
     w1 = 0.5 * cert.z_fc1 + 0.5 * (1.0 - cert.z_c1f)
     w2 = 0.5 * cert.z_fc2 + 0.5 * (1.0 - cert.z_c2f)
-    W_f = mp.p * w1 + (1.0 - mp.p) * w2
-    for u, W_field, W_implied in (
-        (cert.u_f, cert.W_f, W_f),
-        (cert.u_c1, cert.W_c1, 1.0 - w1),
-        (cert.u_c2, cert.W_c2, 1.0 - w2),
+    for u, W_field, W_implied in zip(
+        (cert.u_f, cert.u_c1, cert.u_c2),
+        (cert.W_f, cert.W_c1, cert.W_c2),
+        _match_payoffs(mp, w1, w2),
     ):
         if abs(W_field - W_implied) > tol:
             return False
@@ -413,7 +428,6 @@ def expected_match_payoffs(
     """Steady-state expected match payoffs (firm, type 1, type 2): the
     closed-form round-1 splits of :func:`simulate_automata`, with a fair
     coin over who proposes first."""
-    p = cert.params.p
     w = {}
     candidate = {}
     for pairing in (1, 2):
@@ -421,11 +435,8 @@ def expected_match_payoffs(
         b = simulate_automata(cert, pairing, "candidate")
         w[pairing] = 0.5 * (a.firm_share + b.firm_share)
         candidate[pairing] = 0.5 * (a.candidate_share + b.candidate_share)
-    return (
-        p * w[1] + (1.0 - p) * w[2],
-        candidate[1],
-        candidate[2],
-    )
+    W_f, _, _ = _match_payoffs(cert.params, w[1], w[2])
+    return W_f, candidate[1], candidate[2]
 
 
 # ---------------------------------------------------------------------------

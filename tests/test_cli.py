@@ -15,8 +15,10 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bargainlab import cli
 from bargainlab.cli import main
 
 REPLAY = [
@@ -424,6 +426,30 @@ class TestSpeRegionCommand:
         assert main([*argv, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert len(read_csv(a)) == 1 + 40
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_sample_block_is_the_stream_of_single_draws(self, seed):
+        """Sample mode draws its n targets as one (n, 2) block.  Its goldens
+        were recorded from n pairs of single draws, so numpy must keep the
+        two streams equal."""
+        block = np.random.default_rng(seed).random((5000, 2))
+        rng = np.random.default_rng(seed)
+        pairs = [[rng.random(), rng.random()] for _ in range(5000)]
+        assert block.tolist() == pairs
+
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_region_runs_no_per_target_certificate(self, tmp_path, monkeypatch, mode):
+        """The region decides every target in one array pass; the scalar
+        certificate pipeline is the library's and the tests' oracle."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-target scalar call")
+
+        for name in ("PayoffTarget", "construct_certificate", "prop2_check"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "region.csv"
+        assert main(["spe-region", "--delta", "0.9", "--tau", "0.4", "--p", "0.5",
+                     "--mode", mode, "--resolution", "30", "--out", str(out)]) == 0
+        assert sum(r[2] == "true" for r in read_csv(out)[1:]) > 0
 
 
 class TestRegretCommand:

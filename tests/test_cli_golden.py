@@ -435,3 +435,30 @@ def test_tau_within_boundary_tol_of_the_regime_is_in_it(workdir):
             (workdir / "region.csv").read_text().splitlines()[1:]]
     assert sum(row[2] == "true" for row in rows) == 7
     assert all(row[6] == "" for row in rows)
+
+
+GAPS = ["spe-region", "--p", "0.5", "--mode", "gaps", "--out", "gaps.csv"]
+
+
+def test_gaps_outside_the_regime_warn_on_stderr(workdir, capsys):
+    """Outside the regime no target is supportable and the closed-form gaps
+    are negative.  Gaps mode says so in the same stderr line the other
+    modes put in their warning column, and its CSV and exit code stay."""
+    assert main([*GAPS, "--delta", "0.5", "--tau", "0.9"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: tau=0.9 exceeds delta^2/(1+delta)=0.16666666666666666; "
+        "no feasible targets exist\n"
+    )
+    assert (workdir / "gaps.csv").read_bytes() == (
+        b"delta,tau,p,candidate_gap,firm_gap\r\n"
+        b"0.5,0.9,0.5,-0.7272727272727273,-4.000000000000001\r\n"
+    )
+
+
+def test_gaps_inside_the_regime_are_silent(workdir, capsys):
+    assert main([*GAPS, "--delta", "0.9", "--tau", "0.4"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (workdir / "gaps.csv").read_bytes() == (
+        b"delta,tau,p,candidate_gap,firm_gap\r\n"
+        b"0.9,0.4,0.5,0.625,0.8333333333333334\r\n"
+    )

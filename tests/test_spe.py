@@ -16,9 +16,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bargainlab.spe import (
     _scan_offers,
+    BOUNDARY_TOL,
     Deviation,
     EquilibriumCertificate,
     FeasibilityError,
@@ -29,6 +32,7 @@ from bargainlab.spe import (
     construct_certificate,
     expected_match_payoffs,
     feasibility_violations,
+    feasible_payoffs,
     multi_constraint_rhs,
     multi_discriminatory,
     multi_feasible,
@@ -579,3 +583,47 @@ def test_scan_reports_the_firms_proposal_deviation():
     assert [d.offer for d in devs] == [
         o for o in _scan_offers(broken, 200).tolist() if o < threshold
     ]
+
+
+@st.composite
+def _region_markets(draw):
+    """A market and a lattice resolution, with tau drawn at and around the
+    regime bound delta^2/(1+delta) as well as inside and beyond it."""
+    delta = draw(st.floats(min_value=0.01, max_value=0.99))
+    bound = delta * delta / (1.0 + delta)
+    tau = draw(st.one_of(
+        st.just(0.0),
+        st.just(bound),
+        st.floats(min_value=bound, max_value=bound + BOUNDARY_TOL),
+        st.floats(min_value=0.0, max_value=bound),
+        st.floats(min_value=bound + 2 * BOUNDARY_TOL, max_value=0.99),
+    ))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return MarketParams(delta=delta, tau=tau, p=p), draw(st.integers(2, 40))
+
+
+@settings(max_examples=150)
+@given(case=_region_markets())
+def test_array_region_matches_the_scalar_pipeline(case):
+    """feasible_payoffs decides every lattice target as theorem1_feasible
+    does, and carries the certificate's W fields bit for bit; every
+    feasible target's certificate builds and passes prop2_check."""
+    mp, resolution = case
+    lattice = [i / (resolution - 1) for i in range(resolution)]
+    assert (np.arange(resolution) / (resolution - 1)).tolist() == lattice
+    targets = [(w1, w2) for w1 in lattice for w2 in lattice]
+    w1s, w2s = np.array(targets).T
+    feasible, *payoffs = feasible_payoffs(mp, w1s, w2s)
+    for (w1, w2), verdict, *W in zip(
+        targets, feasible.tolist(), *(x.tolist() for x in payoffs)
+    ):
+        target = PayoffTarget(w1, w2)
+        assert verdict == theorem1_feasible(mp, target)
+        if not verdict:
+            assert all(np.isnan(W))
+            continue
+        cert = construct_certificate(mp, target)
+        assert prop2_check(cert, mp)
+        assert [x.hex() for x in W] == [
+            x.hex() for x in (cert.W_f, cert.W_c1, cert.W_c2)
+        ]
