@@ -81,67 +81,8 @@ from bargainlab.spe import (
 
 __version__ = "0.1.0"
 
+# every name the imports above bind, except the submodules they bind as well
 __all__ = [
-    "GameConfig",
-    "Strategy",
-    "Outcome",
-    "FeedbackVector",
-    "all_strategies",
-    "best_responses",
-    "continuous_play",
-    "equilibrium_value",
-    "feedback_vector",
-    "is_pure_ne",
-    "payoff_matrices",
-    "play",
-    "strategy_from_index",
-    "strategy_index",
-    "PAYOFF_TOL",
-    "HorizonExceededError",
-    "LearnerConfig",
-    "LearnerState",
-    "MixedStrategy",
-    "Play",
-    "l1_objective",
-    "l1_update",
-    "l2_update",
-    "make_learner",
-    "project_to_simplex",
-    "step",
-    "AdversarySchedule",
-    "BatchResult",
-    "G1Classification",
-    "RegretResult",
-    "TrajectoryRecord",
-    "batch_self_play",
-    "classify_g1",
-    "detect_convergence",
-    "external_regret",
-    "make_adversary",
-    "self_play",
-    "theorem5_preconditions",
-    "Deviation",
-    "EquilibriumCertificate",
-    "FeasibilityError",
-    "GapResult",
-    "MarketParams",
-    "MatchOutcome",
-    "MultiMarketParams",
-    "PayoffTarget",
-    "construct_certificate",
-    "expected_match_payoffs",
-    "feasibility_violations",
-    "multi_constraint_rhs",
-    "multi_discriminatory",
-    "multi_feasible",
-    "one_shot_deviation_scan",
-    "payoff_gaps",
-    "prop2_check",
-    "sample_feasible_instance",
-    "simulate_automata",
-    "theorem1_feasible",
-    "w_bounds",
-    "w1_lower_bound",
-    "w2_lower_bound",
-    "__version__",
-]
+    name for name in dir()
+    if not name.startswith("_") and name not in ("game", "ftrl", "dynamics", "spe")
+] + ["__version__"]

@@ -37,11 +37,10 @@ from . import __version__
 from .dynamics import batch_self_play, make_adversary, schedule_regret, self_play
 from .ftrl import LearnerConfig, MixedStrategy, Strategy
 from .game import GameConfig, snap_share, strategy_index
-from .reports import RunManifest, heatmap_svg, write_csv, write_json, write_text
+from .reports import heatmap_svg, write_csv, write_json, write_text
 from .spe import (
     MarketParams, PayoffTarget, construct_certificate, expected_match_payoffs,
-    feasibility_violations, feasible_payoffs, one_shot_deviation_scan,
-    payoff_gaps, prop2_check,
+    feasible_payoffs, one_shot_deviation_scan, payoff_gaps, prop2_check,
 )
 
 EXIT_OK = 0
@@ -294,9 +293,9 @@ class Settings(dict):
             self.rounding.append(f"{key}[{position}]: {value!r} -> {nearest / grid!r}")
         return nearest
 
-    def manifest(self) -> RunManifest:
-        return RunManifest(self.command, __version__, dict(self.config), self.seed,
-                           list(self.rounding))
+    def manifest(self) -> dict:
+        return {"command": self.command, "version": __version__, "seed": self.seed,
+                "grid_rounding": list(self.rounding), "config": dict(self.config)}
 
 
 def _convert(kind, key: str, text: str, what: str):
@@ -324,6 +323,8 @@ def _check_output(seen: Dict[str, str], key: str, path: str) -> None:
     """Check that ``key``'s output file can be written and that no output
     in ``seen`` (real path -> key) names it too: of two outputs naming one
     file, only the one written last would remain."""
+    if not path:
+        raise ConfigError(f"{key}: output path is empty")
     if os.path.isdir(path):
         raise ConfigError(f"output path is a directory: {path}")
     directory = os.path.dirname(path) or "."
@@ -388,7 +389,7 @@ def cmd_run(settings: Settings) -> int:
     )
     converged = record.converged_at is not None
     document = {
-        "manifest": settings.manifest().as_dict(),
+        "manifest": settings.manifest(),
         "result": {
             "converged": converged,
             "converged_at": record.converged_at,
@@ -461,9 +462,9 @@ def _sweep_chunk(payload) -> list:
 
 
 def _run_sweep_cells(payload_base, cells, jobs: int) -> list:
-    if jobs <= 1 or len(cells) <= 1:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers <= 1:
         return _sweep_chunk((*payload_base, cells))
-    workers = min(jobs, len(cells))
     bounds = np.linspace(0, len(cells), workers + 1).astype(int)
     payloads = [
         (*payload_base, cells[bounds[i]:bounds[i + 1]])
@@ -723,11 +724,7 @@ def cmd_verify_spe(settings: Settings) -> int:
         MarketParams, delta=settings["delta"], tau=settings["tau"], p=settings["p"]
     )
     target = PayoffTarget(w1=settings["w1"], w2=settings["w2"])
-    violations = feasibility_violations(params, target)
-    if violations:
-        raise ConfigError(f"target infeasible: {', '.join(violations)}")
-
-    cert = construct_certificate(params, target, z_rule=settings["z-rule"])
+    cert = _wrap_value_error(construct_certificate, params, target, settings["z-rule"])
     stationary = prop2_check(cert, params)
     deviations = one_shot_deviation_scan(cert, params, scan_grid=settings["scan-grid"])
     w_f, w_c1, w_c2 = expected_match_payoffs(cert)
@@ -810,7 +807,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.manifest:
-        write_json(args.manifest, settings.manifest().as_dict())
+        write_json(args.manifest, settings.manifest())
     return code
 
 

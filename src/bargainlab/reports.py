@@ -4,8 +4,8 @@ CSV tables are RFC-4180 style (CRLF row endings, mandatory header row),
 JSON documents are emitted with sorted keys so byte-identical reruns are
 guaranteed, and heatmaps are self-contained SVG documents built directly as
 XML.  Nothing here embeds timestamps or environment details: the only
-run-identifying data is the resolved configuration carried by
-:class:`RunManifest`.
+run-identifying data is the run manifest, the resolved configuration that
+the command-line front end records.
 """
 
 from __future__ import annotations
@@ -15,44 +15,15 @@ import json
 import math
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
-    "RunManifest",
     "fmt",
     "heatmap_svg",
     "write_csv",
     "write_json",
     "write_text",
 ]
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a command's output byte for byte.
-
-    ``config`` is the flat, fully-resolved key=value view of the effective
-    settings (defaults filled in, config-file values merged, snapped strategy
-    literals canonicalized); feeding it back through ``--config`` reruns the
-    command identically.  ``grid_rounding`` lists every snap applied to an
-    off-grid strategy literal; ``seed`` is set only by sampling commands.
-    """
-
-    command: str
-    version: str
-    config: Dict[str, str]
-    seed: Optional[int] = None
-    grid_rounding: List[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "seed": self.seed,
-            "grid_rounding": list(self.grid_rounding),
-            "config": dict(self.config),
-        }
 
 
 def fmt(value) -> str:

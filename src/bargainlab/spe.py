@@ -273,9 +273,7 @@ def construct_certificate(
         raise ValueError(f"unknown z_rule {z_rule!r}")
     violations = feasibility_violations(mp, target)
     if violations:
-        raise FeasibilityError(
-            "target not supportable; violated: " + ", ".join(violations)
-        )
+        raise FeasibilityError(f"target infeasible: {', '.join(violations)}")
     W_f, W_c1, W_c2 = _match_payoffs(mp, target.w1, target.w2)
     u_f, u_c1, u_c2 = mp.tau * W_f, mp.tau * W_c1, mp.tau * W_c2
     shares = {}
@@ -510,6 +508,14 @@ def one_shot_deviation_scan(
     delta, tol = mp.delta, SCAN_TOL
     offers = _scan_offers(cert, scan_grid)
     deviations: List[Deviation] = []
+
+    def found(node_of, agent, node, action, offer, prescribed, value) -> None:
+        """Record one deviation at ``node_of`` = (pairing, state, proposer)."""
+        deviations.append(Deviation(
+            *node_of, agent, node, action, float(offer), float(prescribed),
+            float(value), float(value - prescribed),
+        ))
+
     for pairing in (1, 2):
         z_f, z_c, u_f, u_c = _pair_data(cert, pairing)
         for proposer in ("firm", "candidate"):
@@ -518,6 +524,7 @@ def one_shot_deviation_scan(
             u_P = u_f if proposer == "firm" else u_c
             u_R = u_c if proposer == "firm" else u_f
             for state in ("base", "threat"):
+                here = (pairing, state, proposer)
                 if state == "base":
                     threshold = 1.0 - z_keep
                     onpath_P = z_keep
@@ -533,20 +540,8 @@ def one_shot_deviation_scan(
                 # proposer deviates in its offer
                 dev_value = np.where(accepted, 1.0 - offers, u_P)
                 for i in np.nonzero(dev_value > onpath_P + tol)[0]:
-                    deviations.append(
-                        Deviation(
-                            pairing=pairing,
-                            state=state,
-                            proposer=proposer,
-                            agent=proposer,
-                            node="proposal",
-                            action="propose",
-                            offer=float(offers[i]),
-                            prescribed_value=onpath_P,
-                            deviation_value=float(dev_value[i]),
-                            gain=float(dev_value[i] - onpath_P),
-                        )
-                    )
+                    found(here, proposer, "proposal", "propose", offers[i], onpath_P,
+                          dev_value[i])
 
                 # responder flips its accept/reject choice; rejecting an
                 # acceptable offer makes the proposer walk away (the
@@ -554,20 +549,9 @@ def one_shot_deviation_scan(
                 prescribed = np.where(accepted, offers, reject_low)
                 flipped = np.where(accepted, u_R, offers)
                 for i in np.nonzero(flipped > prescribed + tol)[0]:
-                    deviations.append(
-                        Deviation(
-                            pairing=pairing,
-                            state=state,
-                            proposer=proposer,
-                            agent=responder,
-                            node="response",
-                            action="reject" if accepted[i] else "accept",
-                            offer=float(offers[i]),
-                            prescribed_value=float(prescribed[i]),
-                            deviation_value=float(flipped[i]),
-                            gain=float(flipped[i] - prescribed[i]),
-                        )
-                    )
+                    action = "reject" if accepted[i] else "accept"
+                    found(here, responder, "response", action, offers[i],
+                          prescribed[i], flipped[i])
 
                 # walk-away flips after a rejection.  The proposer's flag is
                 # payoff-neutral either way (walking away yields u_P, staying
@@ -576,20 +560,7 @@ def one_shot_deviation_scan(
                 # acceptable offer; its only live flip is to walk away after
                 # rejecting a lowball instead of proposing in the threat state.
                 if threshold > 0.0 and u_R > reject_low + tol:
-                    deviations.append(
-                        Deviation(
-                            pairing=pairing,
-                            state=state,
-                            proposer=proposer,
-                            agent=responder,
-                            node="optout",
-                            action="opt-out",
-                            offer=math.nan,
-                            prescribed_value=reject_low,
-                            deviation_value=u_R,
-                            gain=u_R - reject_low,
-                        )
-                    )
+                    found(here, responder, "optout", "opt-out", math.nan, reject_low, u_R)
     return deviations
 
 

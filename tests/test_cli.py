@@ -849,3 +849,78 @@ class TestRoundsThreeDiscount:
         out = capsys.readouterr().out
         assert '"payoff_R": 0.6400000000000001' in out
         assert json.loads(out)["result"]["payoff_R"] == 0.8 ** 2
+
+
+INFEASIBLE_TARGET = [*TestVerifySpeCommand.ARGS[:-1], "0.95"]
+
+
+class TestVerifySpeDecidesFeasibilityOnce:
+    def test_infeasible_target_exact_stderr(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*INFEASIBLE_TARGET, "--out", "v.json", "--manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == "error: target infeasible: w2-upper, w1-lower\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_support_conditions_pass_per_run(self, tmp_path, monkeypatch):
+        from bargainlab import spe
+
+        calls = []
+        conditions = spe._support_conditions
+
+        def counting(*args):
+            calls.append(args)
+            return conditions(*args)
+
+        monkeypatch.setattr(spe, "_support_conditions", counting)
+        assert main([*TestVerifySpeCommand.ARGS, "--out", str(tmp_path / "v.json")]) == 0
+        assert len(calls) == 1
+
+
+class TestEmptyOutputPath:
+    """An empty output path exits 2 naming its option, with nothing written."""
+
+    GAPS = ["spe-region", "--delta", "0.9", "--tau", "0.4", "--p", "0.5",
+            "--mode", "gaps", "--out", "gaps.csv"]
+    AGG = [*SWEEP_CELLS, "--agg", "over-responder"]
+
+    @pytest.mark.parametrize("argv,key", [
+        (["run", *REPLAY, "--out", ""], "out"),
+        ([*GAPS, "--manifest", ""], "manifest"),
+        ([*AGG, "--agg-out", ""], "agg-out"),
+        ([*AGG, "--agg-out", "agg.csv", "--svg", ""], "svg"),
+    ], ids=["out", "manifest", "agg-out", "svg"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, key):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {key}: output path is empty\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestJobsCappedAtCpuCount:
+    def test_pool_size_is_capped_and_bytes_match_serial(self, tmp_path, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        argv = [*SWEEP_BASE, "--wp-values", "0.25,0.75", "--wr-values", "0.25,0.75"]
+        pooled, serial, manifest = (tmp_path / n for n in ("p.csv", "s.csv", "m.json"))
+        code = main([*argv, "--jobs", "64", "--out", str(pooled), "--manifest", str(manifest)])
+        assert pools == [2]
+        assert len(read_csv(pooled)) == 1 + 16
+        assert json.loads(manifest.read_text())["config"]["jobs"] == "64"
+        assert main([*argv, "--jobs", "1", "--out", str(serial)]) == code
+        assert pools == [2]
+        assert pooled.read_bytes() == serial.read_bytes()

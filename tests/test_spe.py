@@ -12,6 +12,7 @@ numbers below are hand-derived from those fractions:
 """
 
 import dataclasses
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -627,3 +628,28 @@ def test_array_region_matches_the_scalar_pipeline(case):
         assert [x.hex() for x in W] == [
             x.hex() for x in (cert.W_f, cert.W_c1, cert.W_c2)
         ]
+
+
+# sha256 of the repr of every scan below: it pins every Deviation field bit
+# for bit
+BROKEN_SCANS_SHA256 = "09987ea885d40d0e3824add5e603d5b8bd621c6b98d346906ebaffa0f92f5c46"
+SHARE_FIELDS = ("u_f", "u_c1", "u_c2", "z_fc1", "z_fc2", "z_c1f", "z_c2f")
+
+
+def test_deviation_scan_of_broken_certificates_matches_recorded_digest():
+    """Seeded certificates, each share and outside option pushed off its
+    certified value: every scan's repr hashes to the recorded digest, and
+    the scans hold deviations at all three kinds of node."""
+    rng = np.random.default_rng(2021)
+    scans = []
+    for _ in range(400):
+        mp, tgt = sample_feasible_instance(rng)
+        cert = construct_certificate(mp, tgt)
+        broken = dataclasses.replace(cert, **{
+            name: getattr(cert, name) + rng.uniform(-0.3, 0.3)
+            for name in SHARE_FIELDS
+        })
+        scans.append(one_shot_deviation_scan(broken, mp, scan_grid=50))
+    assert {d.node for scan in scans for d in scan} == {"proposal", "response", "optout"}
+    digest = hashlib.sha256(repr(scans).encode()).hexdigest()
+    assert digest == BROKEN_SCANS_SHA256
