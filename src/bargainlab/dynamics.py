@@ -47,6 +47,7 @@ from bargainlab.game import (
     Strategy,
     _agreements,
     _entries_matrix,
+    _price,
     is_pure_ne,
     payoff_matrices,
     play as play_game,
@@ -120,7 +121,9 @@ def batch_self_play(
     Each cell jumps to that step in one move and selects again.  A jump
     never passes a step at which the rule would switch; it may stop short,
     which costs one more event that re-selects the same play.  Cost
-    per cell is O((switches + 1) * N), independent of the horizon.  The
+    per cell is O((switches + 1) * N), independent of the horizon.  No
+    payoff table is built: each side's feedback rows are computed once per
+    opponent played and kept for the whole call (:class:`_KernelRows`).  The
     cumulative sums are formed as ``count * feedback`` rather than one
     addition per step, so they match the stepwise learner up to float
     rounding, far inside ``PAYOFF_TOL``.
@@ -142,21 +145,68 @@ def batch_self_play(
         _check_rate(r)
 
     B = iP.shape[0]
-    U_P, U_R = payoff_matrices(game)
+    rows_P, rows_R = _KernelRows(game, "P"), _KernelRows(game, "R")
     block = max(1, _BLOCK_BYTES // (8 * n))
     profiles = np.empty((B, horizon, 2), dtype=np.int32)
     for lo in range(0, B, block):
         part = slice(lo, lo + block)
         profiles[part] = _play_block(
-            U_P, U_R, rate_P, rate_R, horizon,
+            rows_P, rows_R, rate_P, rate_R, horizon,
             iP[part], iR[part], aP[part], aR[part],
         )
-    return _detect_batch(game, profiles)
+    return _detect_batch(game, profiles, (rows_P, rows_R))
+
+
+class _KernelRows:
+    """One side's payoff rows against the opponent strategies played.
+
+    ``rows[slot[j]]`` is the owner's payoff of every own strategy against
+    opponent index ``j``: column j of ``U_P`` for "P", row j of ``U_R`` for
+    "R", bit for bit, as :func:`payoff_matrices` prices them.  A row is
+    computed by the rules kernel the first time its opponent is looked up,
+    and ``slot[j]`` is -1 until then, so memory grows with the opponents
+    played rather than with the square of the strategy count.
+    """
+
+    def __init__(self, game: GameConfig, owner: str) -> None:
+        self.game, self.owner = game, owner
+        self.slot = np.full(game.strategy_count, -1, dtype=np.int64)
+        self.rows = np.empty((0, game.strategy_count))
+        self.count = 0
+
+    def slots(self, opponents: np.ndarray) -> np.ndarray:
+        """The slots of ``opponents``, computing the rows not stored yet."""
+        new = np.unique(opponents[self.slot[opponents] < 0])
+        if new.size:
+            em = _entries_matrix(self.game)
+            mine, theirs = em[None], em[new][:, None]
+            side = 0 if self.owner == "P" else 1
+            movers = (mine, theirs) if side == 0 else (theirs, mine)
+            agree, offer = _agreements(*movers)
+            pays = _price(self.game, agree, offer / self.game.grid)[side]
+            end = self.count + new.size
+            if end > len(self.rows):
+                grown = np.empty((max(end, 2 * len(self.rows)), self.slot.size))
+                grown[:self.count] = self.rows[:self.count]
+                self.rows = grown
+            self.rows[self.count:end] = pays
+            self.slot[new] = np.arange(self.count, end)
+            self.count = end
+        return self.slot[opponents]
+
+    def of(self, opponents: np.ndarray) -> np.ndarray:
+        """(len(opponents), N) rows: the owner's feedback against each."""
+        slots = self.slots(opponents)  # may replace self.rows
+        return self.rows[slots]
+
+    def best(self) -> np.ndarray:
+        """The owner's best payoff against each stored opponent, by slot."""
+        return self.rows[:self.count].max(axis=1)
 
 
 def _play_block(
-    U_P: np.ndarray,
-    U_R: np.ndarray,
+    rows_P: _KernelRows,
+    rows_R: _KernelRows,
     rate_P: float,
     rate_R: float,
     T: int,
@@ -170,7 +220,7 @@ def _play_block(
     An event is a round at which a cell's joint play is (re)selected; it is
     logged as (cell, start round, P, R) and expanded once at the end.
     """
-    m, n = cur_P.size, U_P.shape[0]
+    m, n = cur_P.size, rows_P.slot.size
     cells = np.arange(m)
     t = np.zeros(m, dtype=np.int64)
     cum_P = np.zeros((m, n))
@@ -178,8 +228,8 @@ def _play_block(
     log = [(cells, t, cur_P, cur_R)]
     while cells.size:
         # the round at t is played: both learners observe it
-        fb_P = U_P.T[cur_R]
-        fb_R = U_R[cur_P]
+        fb_P = rows_P.of(cur_R)
+        fb_R = rows_R.of(cur_P)
         cum_P += fb_P
         cum_R += fb_R
         left = T - 1 - t
@@ -217,46 +267,56 @@ def _leave_offset(obj: np.ndarray, fb: np.ndarray, cur: np.ndarray) -> np.ndarra
     more than ``tol = PAYOFF_TOL`` and trails no smaller index by more than
     ``tol``; these pairwise conditions imply the selection rule, so the offset
     returned is never later than the rule's first switch.  np.inf when no
-    strategy ever catches up.
+    strategy ever catches up.  ``obj`` is overwritten: callers pass the fresh
+    array :func:`ftrl.handicapped` returns.
     """
     rows, tol = np.arange(cur.size), PAYOFF_TOL
-    lead = obj[rows, cur][:, None] - obj
-    gain = fb - fb[rows, cur][:, None]  # per-round erosion of that lead
     above = np.arange(obj.shape[1]) > cur[:, None]
+    below = ~above
     # an index above takes over once lead - x*gain <= tol, one below once
-    # lead - x*gain < -tol
-    margin = lead - np.where(above, tol, -tol)
+    # lead - x*gain < -tol; margin is the lead less that bound
+    margin = np.subtract(obj[rows, cur][:, None], obj, out=obj)
+    np.subtract(margin, tol, out=margin, where=above)
+    np.add(margin, tol, out=margin, where=below)
+    gain = fb - fb[rows, cur][:, None]  # per-round erosion of that lead
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = margin / gain
-    x = np.where(above, np.ceil(q), np.floor(q) + 1.0)
-    x = np.where(gain > 0, x, np.inf)
+        x = np.divide(margin, gain)
+    np.ceil(x, out=x, where=above)
+    np.floor(x, out=x, where=below)
+    np.add(x, 1.0, out=x, where=below)
+    x[~(gain > 0)] = np.inf
     x[(margin < 0) | (above & (margin == 0))] = 0.0
     return x.min(axis=1)
 
 
-def _detect_batch(game: GameConfig, profiles: np.ndarray) -> BatchResult:
+def _detect_batch(
+    game: GameConfig,
+    profiles: np.ndarray,
+    rows: tuple[_KernelRows, _KernelRows] | None = None,
+) -> BatchResult:
     """Convergence detection and final-profile bookkeeping for a batch.
 
-    -1 in a profile marks a genuine mixture.  A cell ending on one is not
-    converged and gets NaN payoffs (numpy would read -1 as the last index).
+    Payoffs and best responses are read from the kernel rows of the final
+    plays, ``rows`` (P's, R's) when the engine already holds them.  -1 in a
+    profile marks a genuine mixture.  A cell ending on one is not converged
+    and gets NaN payoffs; its rows are read at index 0 and ignored.
     """
     B, T, _ = profiles.shape
-    U_P, U_R = payoff_matrices(game)
+    rows_P, rows_R = rows or (_KernelRows(game, "P"), _KernelRows(game, "R"))
     last = profiles[:, -1, :]
-    i, j = last[:, 0].astype(np.int64), last[:, 1].astype(np.int64)
-    mixed = (i < 0) | (j < 0)
+    mixed = (last < 0).any(axis=1)
+    i, j = np.where(last < 0, 0, last).astype(np.int64).T
 
     changed = (profiles != last[:, None, :]).any(axis=2)  # (B, T)
     rev_first = np.argmax(changed[:, ::-1], axis=1)
     any_change = changed.any(axis=1)
     t_prime = np.where(any_change, T - rev_first + 1, 1).astype(np.int32)
 
-    best_P_given_R = U_P.max(axis=0)  # over P's strategies, per R index
-    best_R_given_P = U_R.max(axis=1)  # over R's strategies, per P index
-    pays_P = U_P[i, j]
-    pays_R = U_R[i, j]
-    is_ne = (pays_P >= best_P_given_R[j] - PAYOFF_TOL) & (
-        pays_R >= best_R_given_P[i] - PAYOFF_TOL
+    slot_P, slot_R = rows_P.slots(j), rows_R.slots(i)
+    pays_P = rows_P.rows[slot_P, i]
+    pays_R = rows_R.rows[slot_R, j]
+    is_ne = (pays_P >= rows_P.best()[slot_P] - PAYOFF_TOL) & (
+        pays_R >= rows_R.best()[slot_R] - PAYOFF_TOL
     )
     settled = is_ne & ~mixed & ((t_prime < T) | (T == 1))
 

@@ -353,8 +353,8 @@ def _outcome_tables(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=64)
 def payoff_matrices(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Full payoff tables (U_P, U_R), each indexed [first mover, second mover]:
-    :func:`_price` of :func:`_outcome_tables`.  Only the event engine and plays
-    against mixed strategies read them; a pure opponent costs one kernel row."""
+    :func:`_price` of :func:`_outcome_tables`.  Only plays against mixed
+    strategies read them; a pure opponent costs one kernel row."""
     agree, offer = _outcome_tables(cfg)
     offer = offer / cfg.grid  # shares; the numerators are freed before pricing
     U_P, U_R = _price(cfg, agree, offer)
