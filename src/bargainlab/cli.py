@@ -572,16 +572,28 @@ def cmd_spe_region(settings: Settings) -> int:
     else:
         if mode == "enumerate":
             lattice = np.arange(resolution) / (resolution - 1)
-            w1, w2 = np.repeat(lattice, resolution), np.tile(lattice, resolution)
+            count = resolution * resolution
         else:
             settings.seed = settings["seed"]
             rng = np.random.default_rng(settings.seed)
-            w1, w2 = rng.random((settings["samples"], 2)).T
-        columns = (w1, w2, *feasible_payoffs(params, w1, w2))
+            count = settings["samples"]
+
+        def region_rows() -> Iterable[tuple]:
+            """The rows, 4096 targets at a time so that memory stays flat at
+            any size: the lattice in row-major order, or the draws in order."""
+            for start in range(0, count, 4096):
+                stop = min(start + 4096, count)
+                if mode == "enumerate":
+                    i = np.arange(start, stop)
+                    w1, w2 = lattice[i // resolution], lattice[i % resolution]
+                else:
+                    w1, w2 = rng.random((stop - start, 2)).T
+                columns = (w1, w2, *feasible_payoffs(params, w1, w2))
+                for row in zip(*(c.tolist() for c in columns)):
+                    yield (*row, warning)
+
         header = ["w1", "w2", "feasible", "W_f", "W_c1", "W_c2", "warning"]
-        # a block of rows at a time: whole columns as Python objects cost memory
-        rows = ((*row, warning) for start in range(0, len(w1), 4096)
-                for row in zip(*(c[start:start + 4096].tolist() for c in columns)))
+        rows = region_rows()
 
     write_csv(settings.args.out, header, rows)
     return EXIT_OK

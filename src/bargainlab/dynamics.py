@@ -45,9 +45,9 @@ from bargainlab.game import (
     PAYOFF_TOL,
     GameConfig,
     Strategy,
+    _KernelRows,
     _agreements,
     _entries_matrix,
-    _price,
     is_pure_ne,
     payoff_matrices,
     play as play_game,
@@ -155,53 +155,6 @@ def batch_self_play(
             iP[part], iR[part], aP[part], aR[part],
         )
     return _detect_batch(game, profiles, (rows_P, rows_R))
-
-
-class _KernelRows:
-    """One side's payoff rows against the opponent strategies played.
-
-    ``rows[slot[j]]`` is the owner's payoff of every own strategy against
-    opponent index ``j``: column j of ``U_P`` for "P", row j of ``U_R`` for
-    "R", bit for bit, as :func:`payoff_matrices` prices them.  A row is
-    computed by the rules kernel the first time its opponent is looked up,
-    and ``slot[j]`` is -1 until then, so memory grows with the opponents
-    played rather than with the square of the strategy count.
-    """
-
-    def __init__(self, game: GameConfig, owner: str) -> None:
-        self.game, self.owner = game, owner
-        self.slot = np.full(game.strategy_count, -1, dtype=np.int64)
-        self.rows = np.empty((0, game.strategy_count))
-        self.count = 0
-
-    def slots(self, opponents: np.ndarray) -> np.ndarray:
-        """The slots of ``opponents``, computing the rows not stored yet."""
-        new = np.unique(opponents[self.slot[opponents] < 0])
-        if new.size:
-            em = _entries_matrix(self.game)
-            mine, theirs = em[None], em[new][:, None]
-            side = 0 if self.owner == "P" else 1
-            movers = (mine, theirs) if side == 0 else (theirs, mine)
-            agree, offer = _agreements(*movers)
-            pays = _price(self.game, agree, offer / self.game.grid)[side]
-            end = self.count + new.size
-            if end > len(self.rows):
-                grown = np.empty((max(end, 2 * len(self.rows)), self.slot.size))
-                grown[:self.count] = self.rows[:self.count]
-                self.rows = grown
-            self.rows[self.count:end] = pays
-            self.slot[new] = np.arange(self.count, end)
-            self.count = end
-        return self.slot[opponents]
-
-    def of(self, opponents: np.ndarray) -> np.ndarray:
-        """(len(opponents), N) rows: the owner's feedback against each."""
-        slots = self.slots(opponents)  # may replace self.rows
-        return self.rows[slots]
-
-    def best(self) -> np.ndarray:
-        """The owner's best payoff against each stored opponent, by slot."""
-        return self.rows[:self.count].max(axis=1)
 
 
 def _play_block(

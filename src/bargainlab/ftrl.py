@@ -31,6 +31,7 @@ from bargainlab.game import (
     PAYOFF_TOL,
     GameConfig,
     Strategy,
+    _KernelRows,
     _check_strategy,
     payoff_matrices,
     snap_share,
@@ -161,12 +162,14 @@ class LearnerConfig:
 
 @dataclass
 class LearnerState:
-    """Mutable run state of one learner."""
+    """Mutable run state of one learner; ``rows`` holds its feedback rows
+    against the pure opponents seen so far."""
 
     game: GameConfig
     config: LearnerConfig
     cumulative: np.ndarray
     current: Play
+    rows: _KernelRows
     steps: int = 0
 
 
@@ -179,6 +182,7 @@ def make_learner(game: GameConfig, config: LearnerConfig) -> LearnerState:
         config=config,
         cumulative=np.zeros(game.strategy_count),
         current=config.initial,
+        rows=_KernelRows(game, config.owner),
     )
 
 
@@ -196,8 +200,7 @@ def _feedback(
 ) -> np.ndarray:
     game, owner = state.game, state.config.owner
     if isinstance(opponent_play, Strategy):
-        _check_strategy(game, opponent_play, "strategy")
-        return value_play_utilities(game, owner, opponent_play.values)
+        return state.rows.of(np.array([strategy_index(game, opponent_play)]))[0]
     if isinstance(opponent_play, tuple):
         values = opponent_play
         if len(values) != game.rounds or not all(0 <= v <= 1 for v in values):

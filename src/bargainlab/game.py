@@ -239,19 +239,20 @@ def continuous_play(
 def value_play_utilities(
     cfg: GameConfig,
     owner: Owner,
-    opponent: Sequence[float],
+    opponent: Sequence[float] | np.ndarray,
     own: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Utility of each own strategy against one real-valued opponent play.
+    """Utility of each own strategy against real-valued opponent plays.
 
     ``own`` is an (n, rounds) array of real shares, one strategy per row; by
     default it is every grid strategy in flat-index order.  ``opponent``
-    holds one share per round.  One kernel row: the same rules and floats as
+    holds one share per round, giving one (n,) kernel row, or is a (k,
+    rounds) stack of plays, giving (k, n) rows.  The same rules and floats as
     :func:`continuous_play`, and at grid values as :func:`play`.
     """
     if own is None:
         own = _entries_matrix(cfg) / cfg.grid
-    opponent = np.asarray(opponent, dtype=np.float64)
+    opponent = np.asarray(opponent, dtype=np.float64)[..., None, :]
     if owner == "P":
         return _price(cfg, *_agreements(own, opponent))[0]
     return _price(cfg, *_agreements(opponent, own))[1]
@@ -361,6 +362,49 @@ def payoff_matrices(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     U_P.setflags(write=False)
     U_R.setflags(write=False)
     return U_P, U_R
+
+
+class _KernelRows:
+    """One side's payoff rows against the opponent strategies played.
+
+    ``rows[slot[j]]`` is the owner's payoff of every own strategy against
+    opponent index ``j``: column j of ``U_P`` for "P", row j of ``U_R`` for
+    "R", bit for bit, as :func:`payoff_matrices` prices them.  A row is
+    computed by :func:`value_play_utilities` the first time its opponent is
+    looked up, and ``slot[j]`` is -1 until then, so memory grows with the
+    opponents played rather than with the square of the strategy count.
+    """
+
+    def __init__(self, game: GameConfig, owner: Owner) -> None:
+        self.game, self.owner = game, owner
+        self.slot = np.full(game.strategy_count, -1, dtype=np.int64)
+        self.rows = np.empty((0, game.strategy_count))
+        self.count = 0
+
+    def slots(self, opponents: np.ndarray) -> np.ndarray:
+        """The slots of ``opponents``, computing the rows not stored yet."""
+        new = np.unique(opponents[self.slot[opponents] < 0])
+        if new.size:
+            plays = _entries_matrix(self.game)[new] / self.game.grid
+            pays = value_play_utilities(self.game, self.owner, plays)
+            end = self.count + new.size
+            if end > len(self.rows):
+                grown = np.empty((max(end, 2 * len(self.rows)), self.slot.size))
+                grown[:self.count] = self.rows[:self.count]
+                self.rows = grown
+            self.rows[self.count:end] = pays
+            self.slot[new] = np.arange(self.count, end)
+            self.count = end
+        return self.slot[opponents]
+
+    def of(self, opponents: np.ndarray) -> np.ndarray:
+        """(len(opponents), N) rows: the owner's feedback against each."""
+        slots = self.slots(opponents)  # may replace self.rows
+        return self.rows[slots]
+
+    def best(self) -> np.ndarray:
+        """The owner's best payoff against each stored opponent, by slot."""
+        return self.rows[:self.count].max(axis=1)
 
 
 @dataclass(frozen=True)

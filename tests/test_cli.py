@@ -12,6 +12,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -20,6 +21,8 @@ import pytest
 
 from bargainlab import cli
 from bargainlab.cli import main
+from bargainlab.reports import write_csv
+from bargainlab.spe import MarketParams, feasible_payoffs
 
 REPLAY = [
     "--rounds", "1", "--grid", "8", "--rate", "20", "--reg", "1",
@@ -89,6 +92,16 @@ class TestRunCommand:
         args = list(REPLAY)
         args[args.index("--reg") + 1] = "3"
         assert main(["run", *args]) == 2
+
+    def test_non_integer_rounds_exit_2_writing_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        args = list(REPLAY)
+        args[args.index("--rounds") + 1] = "x"
+        assert main(["run", *args, "--out", "rec.json", "--manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == "error: rounds: expected an integer, got 'x'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_out_exits_2(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "rec.json"
@@ -450,6 +463,46 @@ class TestSpeRegionCommand:
         assert main(["spe-region", "--delta", "0.9", "--tau", "0.4", "--p", "0.5",
                      "--mode", mode, "--resolution", "30", "--out", str(out)]) == 0
         assert sum(r[2] == "true" for r in read_csv(out)[1:]) > 0
+
+    REGION = ["spe-region", "--delta", "0.9", "--tau", "0.4", "--p", "0.5"]
+
+    # 67² = 4489 and 4096 + 905 targets: one full block and a partial one
+    @pytest.mark.parametrize("mode, size", [("enumerate", 67), ("sample", 5001)])
+    def test_blocks_write_the_rows_of_whole_arrays(self, tmp_path, mode, size):
+        """The region decides and writes its targets a block at a time; the
+        bytes equal rows built from the whole lattice or from one draw."""
+        if mode == "enumerate":
+            lattice = np.arange(size) / (size - 1)
+            w1, w2 = np.repeat(lattice, size), np.tile(lattice, size)
+        else:
+            w1, w2 = np.random.default_rng(5).random((size, 2)).T
+        params = MarketParams(delta=0.9, tau=0.4, p=0.5)
+        columns = (w1, w2, *feasible_payoffs(params, w1, w2))
+        expected = tmp_path / "expected.csv"
+        write_csv(str(expected),
+                  ["w1", "w2", "feasible", "W_f", "W_c1", "W_c2", "warning"],
+                  ((*row, "") for row in zip(*(c.tolist() for c in columns))))
+        out = tmp_path / "region.csv"
+        assert main([*self.REGION, "--mode", mode, "--resolution", str(size),
+                     "--samples", str(size), "--seed", "5", "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_region_memory_does_not_grow_with_the_lattice(self, monkeypatch):
+        """At 300² targets a whole-lattice pass peaks at about 6 MB of
+        allocations; one block at a time stays near one block's worth.  The
+        rows are counted instead of formatted, which tracing makes slow."""
+        written = []
+        monkeypatch.setattr(cli, "write_csv", lambda path, header, rows:
+                            written.append(sum(1 for _ in rows)))
+        assert main([*self.REGION, "--resolution", "9"]) == 0
+        tracemalloc.start()  # after the warm-up run, imports are not counted
+        try:
+            assert main([*self.REGION, "--resolution", "300"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written == [9 * 9, 300 * 300]
+        assert peak < 2_000_000
 
 
 class TestRegretCommand:

@@ -135,7 +135,7 @@ class TestSelfPlayReplay:
                 if w is not None:
                     assert abs(w.sum() - 1.0) < 1e-9 and w.min() > -1e-12
 
-    def test_mixed_rate_pair_uses_stepwise_route(self):
+    def test_unequal_rate_pair_plays_pure_strategies(self):
         rec = self_play(
             G1,
             lcfg(G1, "P", (6,), (5,), rate=20.0),
@@ -605,6 +605,12 @@ class TestTheorem5Preconditions:
                 Strategy((6,), 8),
             )
 
+    def test_strategies_off_the_game_raise(self):
+        good = Strategy((8, 8), 16)
+        for bad in (Strategy((4, 4), 8), Strategy((8, 8, 8), 16)):
+            with pytest.raises(ValueError, match="two-round strategies on the game grid"):
+                theorem5_preconditions(G2, good, good, good, bad)
+
     def test_qualifying_samples_converge(self):
         """Sampled precondition-passing pairs settle within 300 steps."""
         rng = np.random.default_rng(5)
@@ -659,6 +665,10 @@ class TestMakeAdversary:
     def test_bins_inferred_from_plays(self):
         adv = make_adversary(self.G10, [(0.3,), (0.6,), (0.3,)])
         assert adv.bins == ((0.3, 0.6),)
+
+    def test_one_bin_list_per_round(self):
+        with pytest.raises(ValueError, match=r"need one bin list per round \(1\)"):
+            make_adversary(self.G10, [(0.1,)], bins=[(0.1,), (0.2,)])
 
     def test_play_outside_declared_bins(self):
         with pytest.raises(ValueError):

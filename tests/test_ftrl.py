@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bargainlab import ftrl as ftrl_module
+from bargainlab import game as game_module
 from bargainlab.dynamics import batch_self_play
 from bargainlab.ftrl import (
     HorizonExceededError,
@@ -345,6 +347,40 @@ def test_step_real_valued_play():
     for bad in ((0.5,), (0.5, 1.5)):
         with pytest.raises(ValueError):
             step(off_grid, bad)
+
+
+def test_projection_and_step_reject_wrong_inputs():
+    with pytest.raises(ValueError, match=r"expected a 2-D array of rows, got shape \(3,\)"):
+        project_rows_to_simplex(np.ones(3))
+    game = GameConfig(rounds=1, grid=4, delta=0.9)
+    cfg = LearnerConfig("P", 1, 20.0, Strategy((2,), 4), Strategy((2,), 4), 5)
+    state = make_learner(game, cfg)
+    with pytest.raises(TypeError, match="opponent play must be Strategy or MixedStrategy"):
+        step(state, [0.5])
+    assert state.steps == 0
+
+
+def test_pure_opponent_row_is_computed_once(monkeypatch):
+    """A learner keeps its row against each pure opponent it has seen: a
+    second step against the same strategy computes no kernel row."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return value_play_utilities(*args, **kwargs)
+
+    for module in (game_module, ftrl_module):
+        monkeypatch.setattr(module, "value_play_utilities", spy)
+    game = GameConfig(rounds=2, grid=4, delta=0.8)
+    cfg = LearnerConfig("R", 1, 20.0, Strategy((2, 2), 4), Strategy((2, 2), 4), 10)
+    state = make_learner(game, cfg)
+    opponent = Strategy((1, 3), 4)
+    step(state, opponent)
+    step(state, opponent)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(
+        state.cumulative, 2 * value_play_utilities(game, "R", opponent.values)
+    )
 
 
 # ---------------------------------------------------------------------------

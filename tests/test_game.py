@@ -411,6 +411,17 @@ def test_snap_share_rule():
     assert snap_share(-1e-10, 4) == (0, True)
 
 
+def test_continuous_play_and_index_validation():
+    with pytest.raises(ValueError, match="strategy length must equal the number of rounds"):
+        continuous_play(2, 0.9, (0.5,), (0.5, 0.5))
+    with pytest.raises(ValueError, match=r"shares must lie in \[0, 1\]"):
+        continuous_play(1, 0.9, (1.5,), (0.5,))
+    cfg = GameConfig(rounds=2, grid=4, delta=0.9)
+    for index in (-1, cfg.strategy_count):
+        with pytest.raises(ValueError, match=f"strategy index {index} out of range"):
+            strategy_from_index(cfg, index)
+
+
 def test_value_play_utilities_match_continuous_play():
     """Each row of the kernel equals ``continuous_play`` of that strategy."""
     for rounds, grid in [(1, 4), (2, 5), (3, 3)]:
@@ -434,3 +445,34 @@ def test_value_play_utilities_match_continuous_play():
                 s = strategy_from_index(cfg, int(i))
                 out = continuous_play(rounds, 0.7, s.values, opp)
                 assert grid_util[i] == out.payoff_P
+
+
+@st.composite
+def _stacked_plays(draw):
+    """A game, k opponent plays of it (on the grid or not) and, maybe, an own
+    strategy matrix."""
+    rounds = draw(st.integers(1, 3))
+    grid = draw(st.integers(1, 6))
+    cfg = GameConfig(rounds, grid, draw(st.sampled_from([1.0, 0.9, 0.83, 0.5])))
+    share = st.one_of(
+        st.integers(0, grid).map(lambda e: e / grid),
+        st.floats(0.0, 1.0, allow_nan=False),
+    )
+    plays = st.lists(share, min_size=rounds, max_size=rounds)
+    opponents = draw(st.lists(plays, min_size=1, max_size=6))
+    own = draw(st.one_of(st.none(), st.lists(plays, min_size=1, max_size=8)))
+    return cfg, np.array(opponents), None if own is None else np.array(own)
+
+
+@given(_stacked_plays(), st.sampled_from(["P", "R"]))
+@settings(max_examples=150, deadline=None)
+def test_value_play_utilities_of_a_stack_is_each_play_bit_for_bit(case, owner):
+    """A (k, rounds) stack of opponent plays gives (k, n) rows, each the one
+    row of that play alone."""
+    cfg, opponents, own = case
+    stacked = value_play_utilities(cfg, owner, opponents, own)
+    n = cfg.strategy_count if own is None else len(own)
+    assert stacked.shape == (len(opponents), n)
+    for row, opp in zip(stacked, opponents):
+        alone = value_play_utilities(cfg, owner, tuple(opp.tolist()), own)
+        assert np.array_equal(row.view(np.int64), alone.view(np.int64))

@@ -13,6 +13,7 @@ numbers below are hand-derived from those fractions:
 
 import dataclasses
 import hashlib
+import re
 from itertools import product
 
 import numpy as np
@@ -113,6 +114,18 @@ class TestParams:
             W=((0.5, 0.5), (0.5, 0.5)),
         )
         assert (mmp.m, mmp.n) == (2, 2)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"delta": 1.0}, "delta must lie in (0, 1), got 1.0"),
+        ({"p_vec": ()}, "p_vec must be non-empty"),
+        ({"q_vec": (1.5, -0.5)}, "q_vec entries must be non-negative"),
+        ({"p_vec": (1.0,)}, "W has 2 rows, expected 1"),
+    ])
+    def test_multi_market_rejects_each_field(self, fields, message):
+        good = {"delta": 0.9, "tau": 0.3, "p_vec": (0.5, 0.5),
+                "q_vec": (0.25, 0.75), "W": ((0.5, 0.5), (0.5, 0.5))}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultiMarketParams(**{**good, **fields})
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +275,64 @@ class TestProp2Check:
             mp, tgt = sample_feasible_instance(rng)
             cert = construct_certificate(mp, tgt)
             assert prop2_check(cert), (mp, tgt)
+
+    @staticmethod
+    def _violated(cert):
+        """The Proposition 2 conditions ``cert`` violates, written out on
+        their own: each pairing's share ranges and mutual threats, then W
+        from the shares and u = tau * W."""
+        mp, tol = cert.params, 1e-12
+        d, out = mp.delta, set()
+        for z_f, z_c, u_c in ((cert.z_fc1, cert.z_c1f, cert.u_c1),
+                              (cert.z_fc2, cert.z_c2f, cert.u_c2)):
+            if not 1 - d + cert.u_f - tol <= z_f <= 1 - u_c + tol:
+                out.add("firm share")
+            if not 1 - d + u_c - tol <= z_c <= 1 - cert.u_f + tol:
+                out.add("candidate share")
+            if cert.u_f > d * d - d * u_c + tol:
+                out.add("firm threat")
+            if u_c > d * d - d * cert.u_f + tol:
+                out.add("candidate threat")
+        w1 = (cert.z_fc1 + 1 - cert.z_c1f) / 2
+        w2 = (cert.z_fc2 + 1 - cert.z_c2f) / 2
+        W = (mp.p * w1 + (1 - mp.p) * w2, 1 - w1, 1 - w2)
+        if max(map(abs, np.subtract((cert.W_f, cert.W_c1, cert.W_c2), W))) > tol:
+            out.add("W")
+        if max(map(abs, np.subtract((cert.u_f, cert.u_c1, cert.u_c2),
+                                    np.multiply(mp.tau, W)))) > tol:
+            out.add("u = tau W")
+        return out
+
+    @staticmethod
+    def _stationary(mp, z_fc1, z_c1f, z_fc2, z_c2f):
+        """Certificate fields of these shares with W computed from them and
+        u = tau * W, whatever the ranges and threats say."""
+        w1, w2 = (z_fc1 + 1 - z_c1f) / 2, (z_fc2 + 1 - z_c2f) / 2
+        W_f, W_c1, W_c2 = mp.p * w1 + (1 - mp.p) * w2, 1 - w1, 1 - w2
+        return dict(params=mp, z_fc1=z_fc1, z_c1f=z_c1f, z_fc2=z_fc2,
+                    z_c2f=z_c2f, W_f=W_f, W_c1=W_c1, W_c2=W_c2, u_f=mp.tau * W_f,
+                    u_c1=mp.tau * W_c1, u_c2=mp.tau * W_c2)
+
+    def test_each_condition_alone_fails_the_check(self):
+        """One perturbation per condition, each breaking that condition only
+        (by at least 0.005), so every rejecting branch is reached."""
+        cert = construct_certificate(MP, TGT)
+        assert self._violated(cert) == set() and prop2_check(cert)
+        # tau = 0.7 lies outside the theorem's regime; prop2_check does not ask
+        loose = MarketParams(delta=0.8, tau=0.7, p=0.5)
+        broken = {
+            # both type-1 shares move together, so w1 and W stay
+            "candidate share": dict(z_fc1=cert.z_fc1 + 0.01,
+                                    z_c1f=cert.z_c1f + 0.01),
+            "firm threat": self._stationary(loose, 0.7, 0.5, 0.75, 0.45),
+            "candidate threat": self._stationary(loose, 0.5, 0.65, 0.5, 0.7),
+            "W": dict(W_f=cert.W_f + 0.01),
+            "u = tau W": dict(u_c2=cert.u_c2 - 0.01),
+        }
+        for condition, fields in broken.items():
+            perturbed = dataclasses.replace(cert, **fields)
+            assert self._violated(perturbed) == {condition}
+            assert not prop2_check(perturbed), condition
 
 
 # ---------------------------------------------------------------------------
