@@ -630,7 +630,7 @@ def _adversary_plays(
         cycle = entry["cycle"]
         if not isinstance(cycle, list) or not cycle:
             raise ConfigError(f"adversary cycle for {horizon} must be a nonempty list")
-        plays = [cycle[t % len(cycle)] for t in range(horizon)]
+        plays = cycle[:horizon]  # the entries the rounds use, each checked once
     elif "plays" in entry:
         plays = entry["plays"]
         if not isinstance(plays, list) or len(plays) != horizon:
@@ -660,7 +660,9 @@ def _adversary_plays(
                 f"adversary bin {k} for horizon {horizon} must be a list of values"
             )
         _check_numbers(values, f"adversary bin {k} for horizon {horizon}")
-    return [tuple(float(v) for v in play) for play in plays], bins
+    plays = [tuple(float(v) for v in play) for play in plays]
+    # round t + 1 plays entry t mod the number of entries (a cycle repeats)
+    return [plays[t % len(plays)] for t in range(horizon)], bins
 
 
 def _check_numbers(values: list, what: str) -> None:

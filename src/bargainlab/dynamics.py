@@ -90,10 +90,15 @@ class BatchResult:
         return self.converged_at >= 0
 
 
-#: Byte budget of one (cells x strategies) float64 array in the event engine.
-#: The block of cells played together is derived from it, so the engine's
-#: working memory does not grow with the batch.
+#: Byte budget of one (rows x strategies) float64 array: the cells the event
+#: engine plays together, or the rounds a schedule plays together.  Working
+#: memory grows neither with the batch nor with the horizon.
 _BLOCK_BYTES = 1 << 19
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of (rows x width) float64 arrays."""
+    return max(1, _BLOCK_BYTES // (8 * width))
 
 
 def batch_self_play(
@@ -146,7 +151,7 @@ def batch_self_play(
 
     B = iP.shape[0]
     rows_P, rows_R = _KernelRows(game, "P"), _KernelRows(game, "R")
-    block = max(1, _BLOCK_BYTES // (8 * n))
+    block = _block_rows(n)
     profiles = np.empty((B, horizon, 2), dtype=np.int32)
     for lo in range(0, B, block):
         part = slice(lo, lo + block)
@@ -647,17 +652,18 @@ def make_adversary(
         raise ValueError(
             f"spacing {spacing} is finer than the grid step 1/{game.grid}"
         )
-    plays_t = tuple(tuple(float(v) for v in p) for p in plays)
+    plays_t = tuple(tuple(map(float, p)) for p in plays)
     if len(plays_t) == 0:
         raise ValueError("adversary schedule needs at least one play")
-    for p in plays_t:
+    distinct = dict.fromkeys(plays_t)  # each play once, in schedule order
+    for p in distinct:
         if len(p) != n:
             raise ValueError(f"each play needs {n} round values, got {p}")
         for v in p:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"adversary value {v} outside [0, 1]")
     if bins is None:
-        bins_t = tuple(tuple(sorted({p[k] for p in plays_t})) for k in range(n))
+        bins_t = tuple(tuple(sorted({p[k] for p in distinct})) for k in range(n))
     else:
         if len(bins) != n:
             raise ValueError(f"need one bin list per round ({n})")
@@ -666,7 +672,7 @@ def make_adversary(
             for v in b:
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"bin value {v} outside [0, 1]")
-            used = {p[k] for p in plays_t}
+            used = {p[k] for p in distinct}
             if not used <= {*b}:
                 raise ValueError(
                     f"round {k + 1} plays use values outside the declared bin"
@@ -689,10 +695,13 @@ _ROW_CACHE_BYTES = 1 << 25
 def _schedule_rows(
     game: GameConfig,
     owner: str,
-    plays: Iterable[Sequence[float]],
+    plays: Sequence[Sequence[float]],
     own: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
-    """Each round's :func:`value_play_utilities` row against its play.
+) -> Iterator[tuple[list[np.ndarray], list[int]]]:
+    """The rounds' :func:`value_play_utilities` rows against their plays,
+    in consecutive blocks of at most ``_BLOCK_BYTES`` per (rounds x width)
+    array: per block, the rows of its distinct plays and each round's
+    index into them.
 
     Rows are kept for reuse up to ``_ROW_CACHE_BYTES`` (at least one row),
     the least recently used dropped first.  The rows yielded are shared: do
@@ -700,16 +709,46 @@ def _schedule_rows(
     """
     width = game.strategy_count if own is None else own.shape[0]
     capacity = max(1, _ROW_CACHE_BYTES // (8 * width))
+    block = _block_rows(width)
     cache: dict = {}
-    for play in plays:
-        play = tuple(play)
-        row = cache.pop(play, None)
-        if row is None:
-            row = value_play_utilities(game, owner, play, own)
-            if len(cache) == capacity:
-                del cache[next(iter(cache))]
-        cache[play] = row
-        yield row
+    for lo in range(0, len(plays), block):
+        chunk = plays[lo:lo + block]
+        slots = {play: slot for slot, play in enumerate(dict.fromkeys(chunk))}
+        rows = []
+        for play in slots:
+            row = cache.pop(play, None)
+            if row is None:
+                row = value_play_utilities(game, owner, play, own)
+                if len(cache) == capacity:
+                    del cache[next(iter(cache))]
+            cache[play] = row
+            rows.append(row)
+        yield rows, list(map(slots.__getitem__, chunk))
+
+
+def _schedule_blocks(
+    game: GameConfig,
+    owner: str,
+    plays: Sequence[Sequence[float]],
+    own: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Each block of :func:`_schedule_rows` as one (rounds x width) array of
+    its rounds' rows.  The array is free to write to, and its memory is
+    reused for the next block."""
+    buffer = None
+    for rows, order in _schedule_rows(game, owner, plays, own):
+        if buffer is None:  # the first block is the longest
+            buffer = np.empty((len(order), rows[0].shape[0]))
+        # mode="clip" lets take write to ``out`` unbuffered; order is in range
+        yield np.take(np.stack(rows), order, axis=0, out=buffer[:len(order)], mode="clip")
+
+
+def _sum_rounds(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``total`` plus each row of the block in turn, with the bits of adding
+    them one at a time (a reduction over the leading axis adds in order);
+    overwrites ``rows[0]``."""
+    rows[0] += total
+    return np.add.reduce(rows, axis=0)
 
 
 def _candidate_utilities(
@@ -721,8 +760,8 @@ def _candidate_utilities(
     """Cumulative utility of each real-valued candidate over the schedule,
     added up in schedule order."""
     total = np.zeros(candidates.shape[0])
-    for row in _schedule_rows(game, owner, adversary_plays, candidates):
-        total += row
+    for rows in _schedule_blocks(game, owner, adversary_plays, candidates):
+        total = _sum_rounds(total, rows)
     return total
 
 
@@ -758,7 +797,12 @@ def external_regret(
         raise ValueError(
             f"played {len(played)} rounds but the schedule has {len(adversary.plays)}"
         )
-    return _regret(game, owner, adversary, (_weights_of(game, p) for p in played))
+    block = _block_rows(game.strategy_count)
+    weights = (
+        np.array([_weights_of(game, p) for p in played[lo:lo + block]])
+        for lo in range(0, len(played), block)
+    )
+    return _regret(game, owner, adversary, weights)
 
 
 def schedule_regret(
@@ -775,6 +819,14 @@ def schedule_regret(
     (rounds x strategies) array, kernel rows are kept for reuse up to
     ``_ROW_CACHE_BYTES``, and no payoff table is built: array memory grows
     neither with the horizon nor with the number of distinct plays.
+
+    Each block's plays come from one call of ``ftrl.next_plays``, so a
+    reg=2 block is projected from the top entries of its rows (see
+    ``ftrl.project_rows_to_simplex``).  The regret is accounted a block at
+    a time too: one stacked matrix product gives each round's earned
+    payoff with the bits of ``float(w @ u)``, added to the total in round
+    order, and a reduction over the block's rows adds them to the grid
+    bar's running sum in round order.
     """
     if adversary.game != game:
         raise ValueError("adversary was built for a different game")
@@ -795,33 +847,33 @@ def _learner_weights(
     config: LearnerConfig,
     plays: Sequence[tuple[float, ...]],
 ) -> Iterator[np.ndarray]:
-    """The learner's weights in each round of the schedule.
+    """The learner's weights in each round of the schedule, one (rounds x
+    strategies) array per block of :func:`_schedule_rows`.
 
     Round 1 plays ``config.initial``; round t + 1 plays the update rule of
     ``ftrl.step`` applied to the feedback summed over rounds 1..t, where a
     play on the grid is fed back at its grid values, as ``ftrl.step``
     scores it.
     """
-    fed = (_scored_values(game, play) for play in plays)
-    feedback = _schedule_rows(game, config.owner, fed)
-    n = game.strategy_count
+    scored = {play: _scored_values(game, play) for play in set(plays)}
     anchor = strategy_index(game, config.anchor)
-    block = max(1, _BLOCK_BYTES // (8 * n))
-    cum = np.zeros(n)
-    for lo in range(0, len(plays), block):
-        # sums[r]: the feedback of the rounds before round lo + r + 1
-        sums = np.empty((min(block, len(plays) - lo), n))
+    cum = np.zeros(game.strategy_count)
+    buffer = np.empty((min(len(plays), _block_rows(len(cum))), len(cum)))
+    fed = [scored[play] for play in plays]
+    for index, (rows, order) in enumerate(_schedule_rows(game, config.owner, fed)):
+        # sums[r]: cum plus the feedback of the block's rounds before round r
+        sums = buffer[:len(order)]
         sums[0] = cum
         for r in range(1, len(sums)):
-            np.add(sums[r - 1], next(feedback), out=sums[r])
-        cum = sums[-1] + next(feedback)
+            np.add(sums[r - 1], rows[order[r - 1]], out=sums[r])
+        cum = sums[-1] + rows[order[-1]]
         weights = next_plays(sums, anchor, config.rate, config.reg)
         if config.reg == 1:  # pure indices -> one-hot weight rows
             pick, weights = weights, np.zeros_like(sums)
             weights[np.arange(len(sums)), pick] = 1.0
-        if lo == 0:
+        if index == 0:
             weights[0] = _weights_of(game, config.initial)
-        yield from weights
+        yield weights
 
 
 def _regret(
@@ -830,12 +882,16 @@ def _regret(
     adversary: AdversarySchedule,
     weights: Iterable[np.ndarray],
 ) -> RegretResult:
-    """Both regret bars of per-round own weights against the schedule."""
+    """Both regret bars of own weights against the schedule, given as one
+    (rounds x strategies) array per block of :func:`_schedule_rows`."""
     cum_grid = np.zeros(game.strategy_count)
     earned = 0.0
-    for w, u in zip(weights, _schedule_rows(game, owner, adversary.plays)):
-        earned += float(w @ u)
-        cum_grid += u
+    for w, u in zip(weights, _schedule_blocks(game, owner, adversary.plays)):
+        # one dot product per round, with the bits of float(w[r] @ u[r]),
+        # added to ``earned`` in round order
+        for value in np.matmul(w[:, None, :], u[:, :, None]).ravel().tolist():
+            earned += value
+        cum_grid = _sum_rounds(cum_grid, u)
     regret_grid = float(cum_grid.max() - earned)
 
     per_round_candidates = []

@@ -41,6 +41,10 @@ from bargainlab.game import (
 )
 
 
+#: Spacing of float64 values near 1.
+_EPS = float(np.finfo(np.float64).eps)
+
+
 class HorizonExceededError(RuntimeError):
     """Raised when a learner is stepped beyond its configured horizon."""
 
@@ -48,23 +52,74 @@ class HorizonExceededError(RuntimeError):
 def project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of a 2-D array onto the simplex.
 
-    Sort-based O(d log d) construction, row by row: with u the coordinates
-    sorted descending and css the shifted cumulative sums (cumsum(u) - 1),
-    the active-set size is the largest j with u_j > css_j / j, and every
-    coordinate is pulled down by the corresponding multiplier and clipped
-    at zero.
+    With u a row sorted descending and css its shifted cumulative sums
+    (cumsum(u) - 1), the active-set size is the largest j with
+    u_j * j > css_j (the last j when none passes), and every coordinate is
+    pulled down by theta = css_j / j and clipped at zero.
+
+    Several rows at once are projected from their k largest entries only
+    (partitioned out, then sorted), k one more than the most entries any
+    row holds within 1 of its maximum: theta >= max - 1, so the support
+    lies there.  On those k the test runs as on the whole sorted row, so it
+    picks the same j from the same floats.  A row keeps that j only under a
+    certificate that no later j can pass: f(j) = css_j - j * u_j never
+    decreases in j, and rounding moves the test by at most
+    eps * d**2 * (max|v| + 1) (max over the array), so some j passing among
+    the k and a computed f(k) above twice that bound rule every later j
+    out.  Every other row, and a lone row, is sorted whole.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape {v.shape}")
     if v.shape[1] == 0:
         raise ValueError("cannot project an empty vector")
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
+    w = theta = None
+    if len(v) > 1:  # a lone row's one sort costs less than the selection
+        w = v.copy()  # scratch for the selection, then the output
+        theta = _selected_thresholds(v, w)
+    if theta is None:
+        theta = _thresholds(_descending(v))[0]
+    w = np.subtract(v, theta[:, None], out=w)
+    return np.maximum(w, 0.0, out=w)
+
+
+def _selected_thresholds(v: np.ndarray, scratch: np.ndarray) -> np.ndarray | None:
+    """Each row's theta from its k largest entries, or from the whole row
+    where the certificate of :func:`project_rows_to_simplex` fails; None
+    when no row has a top shorter than d to select, or ``v`` holds a value
+    that is not finite.  Scrambles ``scratch``, a copy of ``v``."""
     d = v.shape[1]
-    rho = d - 1 - np.argmax((u * np.arange(1, d + 1) > css)[:, ::-1], axis=1)
-    theta = css[np.arange(v.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(v - theta[:, None], 0.0)
+    top = v.max(axis=1)
+    bound = max(top.max(), -v.min())
+    within = (v >= (top - 1.0)[:, None]).sum(axis=1, dtype=np.int32)
+    # a row with at most one entry below max - 1 would need k = d
+    k = int(within.max(where=within < d - 1, initial=0)) + 1
+    if k == 1 or not math.isfinite(bound):
+        return None
+    scratch.partition(d - k, axis=1)
+    u = _descending(scratch[:, d - k:])
+    theta, css, passes = _thresholds(u)
+    slack = css[:, -1] - u[:, -1] * k
+    sure = passes.any(axis=1) & (slack > 2 * _EPS * d * d * (bound + 1))
+    if not sure.all():
+        theta[~sure] = _thresholds(_descending(v[~sure]))[0]
+    return theta
+
+
+def _descending(v: np.ndarray) -> np.ndarray:
+    """Each row sorted descending (a view of an ascending sort)."""
+    return np.sort(v, axis=1)[:, ::-1]
+
+
+def _thresholds(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's theta from its entries ``u`` sorted descending, with the
+    shifted cumulative sums and the test of :func:`project_rows_to_simplex`."""
+    css = np.cumsum(u, axis=1)
+    css -= 1.0
+    passes = u * np.arange(1, u.shape[1] + 1) > css
+    rho = u.shape[1] - 1 - np.argmax(passes[:, ::-1], axis=1)
+    theta = css[np.arange(u.shape[0]), rho] / (rho + 1.0)
+    return theta, css, passes
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

@@ -442,9 +442,10 @@ class TestSpeRegionCommand:
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_sample_block_is_the_stream_of_single_draws(self, seed):
-        """Sample mode draws its n targets as one (n, 2) block.  Its goldens
-        were recorded from n pairs of single draws, so numpy must keep the
-        two streams equal."""
+        """Sample mode draws its targets from one seeded stream, at most
+        4096 (w1, w2) pairs per ``rng.random((k, 2))`` call.  Its goldens
+        were recorded from pairs of single draws, so numpy must keep a block
+        of draws equal to the stream of single draws."""
         block = np.random.default_rng(seed).random((5000, 2))
         rng = np.random.default_rng(seed)
         pairs = [[rng.random(), rng.random()] for _ in range(5000)]
@@ -888,6 +889,26 @@ class TestInputErrors:
         assert main([*argv, "--manifest", "m.json"]) == 2
         assert capsys.readouterr().err == stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_cycle_entries_are_checked_once(tmp_path, monkeypatch, capsys):
+    """A cycle is checked entry by entry once, not once per round: a second
+    entry ``true`` at horizon 1600 exits 2 with round 2's message and writes
+    nothing, and a good two-entry cycle checks two plays, not 1600."""
+    monkeypatch.chdir(tmp_path)
+    Path("adv.json").write_text(json.dumps({"default": {"cycle": [[0.3], True]}}))
+    assert main(["regret", "--horizons", "1600", "--adversary", "adv.json",
+                 "--out", "out.csv", "--manifest", "m.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: adversary play 2 for horizon 1600 must list 1 values\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["adv.json"]
+
+    checked = []
+    monkeypatch.setattr(cli, "_check_numbers", lambda values, what: checked.append(what))
+    plays, _ = cli._adversary_plays({"default": {"cycle": [[0.3], [0.6]]}}, 1600, 1)
+    assert checked == [f"adversary play {t} for horizon 1600" for t in (1, 2)]
+    assert plays == [(0.3,), (0.6,)] * 800
 
 
 class TestRoundsThreeDiscount:

@@ -866,6 +866,33 @@ def _weights_of(game, own):
     return w
 
 
+
+@pytest.mark.parametrize("n", [101, 401, 1601])
+def test_block_arithmetic_has_the_bits_of_round_by_round(n):
+    """The regret accounting works a block of rounds at a time and relies on
+    two facts of the installed numpy and BLAS, pinned here so that a build
+    that breaks them fails loudly: a stacked (rows, 1, n) @ (rows, n, 1)
+    matmul gives each row's ``float(w @ u)`` bit for bit, for mixed and
+    one-hot weights; and a sum over the leading axis adds the rows in
+    order, as ``+=`` one row at a time does."""
+    rng = np.random.default_rng(n)
+    rows = 40
+    u = rng.random((rows, n)) * rng.choice([1e-3, 1.0, 40.0], size=(rows, 1))
+    dense = rng.random((rows, n))
+    sparse = np.where(rng.random((rows, n)) < 0.01, dense, 0.0)
+    sparse[:, 0] += 1e-3  # no empty row
+    one_hot = np.zeros((rows, n))
+    one_hot[np.arange(rows), rng.integers(0, n, rows)] = 1.0
+    for w in (dense / dense.sum(axis=1, keepdims=True),
+              sparse / sparse.sum(axis=1, keepdims=True), one_hot):
+        stacked = np.matmul(w[:, None, :], u[:, :, None]).ravel().tolist()
+        assert stacked == [float(a @ b) for a, b in zip(w, u)]
+    running = u[0].copy()
+    for row in u[1:]:
+        running += row
+    assert np.add.reduce(u, axis=0).tobytes() == running.tobytes()
+
+
 class TestScheduleRegret:
     @settings(max_examples=120)
     @given(data=st.data())

@@ -421,6 +421,48 @@ def test_row_projection_kkt_on_repeated_values():
         project_rows_to_simplex(np.zeros((3, 0)))
 
 
+def _projection_or_last(v):
+    """``_projection_reference``; when no position passes the test, the
+    last position, as the construction defines it."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    if (u * np.arange(1, v.size + 1) > css).any():
+        return _projection_reference(v)
+    return np.maximum(v - css[-1] / v.size, 0.0)
+
+
+@pytest.mark.parametrize("d", [129, 289, 401, 1601, 4225])
+def test_row_projection_from_the_top_entries_is_bit_for_bit(d):
+    """Each array holds a row with a short top (a few entries within 1 of
+    its maximum), so the projection sorts only the top k entries of every
+    row.  Each row must still have the bits of the whole-row construction,
+    also where those k entries cannot be trusted and the certificate sends
+    the row to the full sort: rows whose support is longer than k (every
+    entry within 1 of the maximum), the round-1 row (zeros and one 1.0, all
+    tied at theta), constant rows, and a row with an entry of 2**54, where
+    no position passes the test."""
+    rng = np.random.default_rng(d)
+    spiky = rng.random((4, d)) * 0.5
+    for row in spiky:
+        row[rng.choice(d, 3, replace=False)] += (3.0, 2.6, 2.3)
+    round_one = np.zeros((1, d))
+    round_one[0, d // 2] = 1.0
+    huge = np.zeros((1, d))
+    huge[0, 7] = 2.0 ** 54
+    arrays = {
+        "short tops": spiky,
+        "support past k": np.vstack([spiky[:1], rng.random((2, d)) * 1e-3]),
+        "round 1": np.vstack([spiky[:1], round_one]),
+        "negative": np.vstack([spiky[:1], rng.normal(size=(2, d)) * 3.0 - 10.0]),
+        "constant": np.vstack([spiky[:1], np.full((2, d), 0.7), np.full((1, d), -3.0)]),
+        "none passes": np.vstack([spiky[:1], huge]),
+    }
+    for name, v in arrays.items():
+        assert ftrl_module._selected_thresholds(v, v.copy()) is not None, name
+        for row, weights in zip(v, project_rows_to_simplex(v)):
+            assert weights.tobytes() == _projection_or_last(row).tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # non-finite input
 # ---------------------------------------------------------------------------
