@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .dynamics import batch_self_play, make_adversary, schedule_regret, self_play
 from .ftrl import LearnerConfig, MixedStrategy, Strategy
-from .game import GameConfig, snap_share, strategy_index
+from .game import GameConfig, snap_share, strategy_from_index, strategy_index
 from .reports import heatmap_svg, write_csv, write_json, write_text
 from .spe import (
     MarketParams, PayoffTarget, construct_certificate, expected_match_payoffs,
@@ -420,58 +420,40 @@ def _sweep_chunk(payload) -> list:
     """Run one contiguous block of sweep cells (used by worker processes).
 
     ``payload`` is (game, proposer, responder, cells): the two learners hold
-    for every cell but their initials, which each cell gives as (P, R) grid
-    entries.  Returns one result tuple (converged, t_converge, ne_round,
-    ne_value, payoff_P, payoff_R) per cell, in cell order.
+    for every cell but their initials, which ``cells``, a (cells, 2) array,
+    gives as flat (P, R) strategy indices.  Returns one result tuple
+    (converged, t_converge, ne_round, ne_value, payoff_P, payoff_R) per
+    cell, in cell order: :meth:`BatchResult.outcomes` of the batch engine
+    for reg=1, the :func:`self_play` record of each cell otherwise.
     """
     game, pc, rc, cells = payload
+    if pc.reg == rc.reg == 1:
+        return batch_self_play(
+            game, (pc.rate, rc.rate), pc.horizon, cells[:, 0], cells[:, 1],
+            np.full(len(cells), strategy_index(game, pc.anchor)),
+            np.full(len(cells), strategy_index(game, rc.anchor)),
+        ).outcomes()
     rows = []
-    if not pc.reg == rc.reg == 1:
-        for p_entries, r_entries in cells:
-            record = self_play(
-                game,
-                replace(pc, initial=Strategy(p_entries, game.grid)),
-                replace(rc, initial=Strategy(r_entries, game.grid)),
-            )
-            rows.append((
-                record.converged_at is not None, record.converged_at, record.ne_round,
-                record.ne_value, record.payoff_P, record.payoff_R,
-            ))
-        return rows
-
-    def index(entries: Tuple[int, ...]) -> int:
-        return strategy_index(game, Strategy(entries, game.grid))
-
-    batch = batch_self_play(
-        game, (pc.rate, rc.rate), pc.horizon,
-        [index(p) for p, _ in cells], [index(r) for _, r in cells],
-        [strategy_index(game, pc.anchor)] * len(cells),
-        [strategy_index(game, rc.anchor)] * len(cells),
-    )
-    for b in range(len(cells)):
-        converged = bool(batch.converged_at[b] >= 0)
-        ne_value = float(batch.ne_value[b])
+    for p, r in cells.tolist():
+        record = self_play(
+            game,
+            replace(pc, initial=strategy_from_index(game, p)),
+            replace(rc, initial=strategy_from_index(game, r)),
+        )
         rows.append((
-            converged,
-            int(batch.converged_at[b]) if converged else None,
-            int(batch.ne_round[b]) if batch.ne_round[b] > 0 else None,
-            None if math.isnan(ne_value) else ne_value,
-            float(batch.payoff_P[b]), float(batch.payoff_R[b]),
+            record.converged_at is not None, record.converged_at, record.ne_round,
+            record.ne_value, record.payoff_P, record.payoff_R,
         ))
     return rows
 
 
-def _run_sweep_cells(payload_base, cells, jobs: int) -> list:
+def _run_sweep_cells(payload_base, cells: np.ndarray, jobs: int) -> list:
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers <= 1:
         return _sweep_chunk((*payload_base, cells))
-    bounds = np.linspace(0, len(cells), workers + 1).astype(int)
-    payloads = [
-        (*payload_base, cells[bounds[i]:bounds[i + 1]])
-        for i in range(workers) if bounds[i] < bounds[i + 1]
-    ]
+    payloads = [(*payload_base, part) for part in np.array_split(cells, workers)]
     rows: list = []
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for chunk in pool.map(_sweep_chunk, payloads):
             rows.extend(chunk)
     return rows
@@ -504,7 +486,8 @@ def cmd_sweep(settings: Settings) -> int:
     learning = _learning(settings, settings["alpha-p"], settings["alpha-r"])
 
     cells = [(p, r) for p in cells_p for r in cells_r]
-    results = _wrap_value_error(_run_sweep_cells, learning, cells, settings["jobs"])
+    index = np.ravel_multi_index(np.array(cells).T, (grid + 1,) * rounds).T
+    results = _wrap_value_error(_run_sweep_cells, learning, index, settings["jobs"])
 
     header = (
         [f"wp{i}_init" for i in range(1, rounds + 1)]

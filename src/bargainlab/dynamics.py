@@ -47,6 +47,7 @@ from bargainlab.game import (
     Strategy,
     _KernelRows,
     _agreements,
+    _check_owner,
     _entries_matrix,
     is_pure_ne,
     payoff_matrices,
@@ -88,6 +89,19 @@ class BatchResult:
     @property
     def converged(self) -> np.ndarray:
         return self.converged_at >= 0
+
+    def outcomes(self) -> list[tuple]:
+        """Per cell, (converged, converged_at, ne_round, ne_value, payoff_P,
+        payoff_R) as Python values: -1, 0 and NaN read as None, except that
+        NaN payoffs (a mixed final play) stay NaN."""
+        return [
+            (t >= 0, t if t >= 0 else None, k or None,
+             None if math.isnan(v) else v, p, r)
+            for t, k, v, p, r in zip(
+                self.converged_at.tolist(), self.ne_round.tolist(),
+                self.ne_value.tolist(), self.payoff_P.tolist(), self.payoff_R.tolist(),
+            )
+        ]
 
 
 #: Byte budget of one (rows x strategies) float64 array: the cells the event
@@ -395,7 +409,8 @@ def self_play(
     if pc.horizon != rc.horizon:
         raise ValueError("both learners must share one horizon")
 
-    if pc.reg == rc.reg == 1:
+    pure_play = pc.reg == rc.reg == 1
+    if pure_play:
         starts = (pc.initial, rc.initial, pc.anchor, rc.anchor)
         batch = batch_self_play(
             game, (pc.rate, rc.rate), pc.horizon,
@@ -404,7 +419,6 @@ def self_play(
         log = batch.profiles[0]
         pure = {k: strategy_from_index(game, k) for k in np.unique(log).tolist()}
         profiles = [(pure[p], pure[r]) for p, r in log.tolist()]
-        payoffs = batch.payoff_P[0], batch.payoff_R[0]
     else:
         profiles = _self_play_stepwise(game, pc, rc)
         log = [
@@ -412,20 +426,19 @@ def self_play(
             for pair in profiles
         ]
         batch = _detect_batch(game, np.array([log], dtype=np.int32))
+
+    _, t, ne_round, ne_value, *payoffs = batch.outcomes()[0]
+    if not pure_play:
         # weights a few ulps off one-hot pay a few ulps off the table entry
         payoffs = _joint_payoffs(game, *profiles[-1])
-
-    t, value = int(batch.converged_at[0]), float(batch.ne_value[0])
     return TrajectoryRecord(
         game, pc, rc, profiles,
-        converged_at=t if t >= 0 else None,
-        ne_profile=tuple(
-            strategy_from_index(game, int(k)) for k in batch.profiles[0, -1]
-        ) if t >= 0 else None,
-        ne_value=None if math.isnan(value) else value,
-        ne_round=int(batch.ne_round[0]) or None,
-        payoff_P=float(payoffs[0]),
-        payoff_R=float(payoffs[1]),
+        converged_at=t,
+        ne_profile=None if t is None else tuple(
+            strategy_from_index(game, k) for k in batch.profiles[0, -1].tolist()
+        ),
+        ne_value=ne_value, ne_round=ne_round,
+        payoff_P=payoffs[0], payoff_R=payoffs[1],
     )
 
 
@@ -789,8 +802,7 @@ def external_regret(
     consecutive adversary values.  The continuous bar can only exceed the
     grid bar.
     """
-    if owner not in ("P", "R"):
-        raise ValueError(f"owner must be 'P' or 'R', got {owner!r}")
+    _check_owner(owner)
     if adversary.game != game:
         raise ValueError("adversary was built for a different game")
     if len(played) != len(adversary.plays):

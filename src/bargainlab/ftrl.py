@@ -32,6 +32,7 @@ from bargainlab.game import (
     GameConfig,
     Strategy,
     _KernelRows,
+    _check_owner,
     _check_strategy,
     payoff_matrices,
     snap_share,
@@ -188,8 +189,7 @@ class LearnerConfig:
     horizon: int
 
     def __post_init__(self) -> None:
-        if self.owner not in ("P", "R"):
-            raise ValueError(f"owner must be 'P' or 'R', got {self.owner!r}")
+        _check_owner(self.owner)
         if self.reg not in (1, 2):
             raise ValueError(f"reg must be 1 or 2, got {self.reg!r}")
         _check_rate(self.rate)

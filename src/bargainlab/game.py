@@ -15,15 +15,15 @@ numerators, so strategy identity and grid membership are exact; floats only
 appear in payoffs.
 
 The rules are written once, as a broadcast kernel priced with the scalar
-powers ``play`` uses; the payoff tables, the value-play rows and every read
-against one pure opponent are built on it.
+powers ``continuous_play`` uses; the payoff tables, the value-play rows and
+every read against one pure opponent are built on it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
@@ -186,24 +186,16 @@ def play(cfg: GameConfig, proposer: Strategy, responder: Strategy) -> Outcome:
     """Play pure strategies against each other and return the outcome.
 
     ``proposer`` moves first (odd rounds), ``responder`` moves second (even
-    rounds).  This is the direct round-by-round reference implementation; the
-    rules kernel behind every vectorized path is checked against it.
+    rounds).  This is :func:`continuous_play` at the strategies' grid values,
+    plus the accepted offer's grid numerator.
     """
     _check_strategy(cfg, proposer, "proposer strategy")
     _check_strategy(cfg, responder, "responder strategy")
-    for k in range(1, cfg.rounds + 1):
-        p_moves_first = k % 2 == 1
-        offer = proposer.entries[k - 1] if p_moves_first else responder.entries[k - 1]
-        threshold = responder.entries[k - 1] if p_moves_first else proposer.entries[k - 1]
-        if offer >= threshold:
-            y = offer / cfg.grid
-            disc = cfg.delta ** (k - 1)
-            resp_pay = disc * y
-            prop_pay = disc * (1.0 - y)
-            if p_moves_first:
-                return Outcome(k, y, prop_pay, resp_pay, offer)
-            return Outcome(k, y, resp_pay, prop_pay, offer)
-    return Outcome(None, None, 0.0, 0.0, None)
+    out = continuous_play(cfg.rounds, cfg.delta, proposer.values, responder.values)
+    k = out.agreement_round
+    if k is None:
+        return out
+    return replace(out, offer_index=(proposer if k % 2 else responder).entries[k - 1])
 
 
 def continuous_play(
@@ -214,9 +206,9 @@ def continuous_play(
 ) -> Outcome:
     """Play real-valued (not grid-restricted) strategies.
 
-    Same rules as :func:`play` but entries are arbitrary shares in [0, 1].
-    Used to evaluate grid play against unrestricted strategies, e.g. for
-    regret against off-grid opponents.
+    Entries are arbitrary shares in [0, 1].  This is the one round-by-round
+    reference of the rules: :func:`play` is this at grid values, and the
+    rules kernel behind every vectorized path is checked against it.
     """
     if len(proposer_values) != rounds or len(responder_values) != rounds:
         raise ValueError("strategy length must equal the number of rounds")
@@ -331,8 +323,9 @@ def _price(
     """First- and second-mover payoffs of agreements in rounds ``agree`` on
     responder shares ``share``: round k pays the responder ``disc * share``
     and the proposer ``disc * (1 - share)`` with ``disc`` the Python scalar
-    ``cfg.delta ** (k - 1)``, as in :func:`play` (numpy's array power is not
-    correctly rounded for exponents >= 2); round 0 pays nothing."""
+    ``cfg.delta ** (k - 1)``, as in :func:`continuous_play` (numpy's array
+    power is not correctly rounded for exponents >= 2); round 0 pays
+    nothing."""
     first_proposed = (agree & 1) == 1  # odd rounds
     first, second = 1.0 - share, 1.0 - share
     np.copyto(first, share, where=~first_proposed)

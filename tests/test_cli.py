@@ -998,3 +998,22 @@ class TestJobsCappedAtCpuCount:
         assert main([*argv, "--jobs", "1", "--out", str(serial)]) == code
         assert pools == [2]
         assert pooled.read_bytes() == serial.read_bytes()
+
+
+class TestJobsOddCellCount:
+    """Nine cells split unevenly over two workers (5 + 4) and the pooled CSV
+    is the serial CSV byte for byte, on both the batch engine (reg=1) and
+    the stepwise learners (reg=2)."""
+
+    @pytest.mark.parametrize("reg, rate", [("1", "40"), ("2", "5")])
+    def test_two_workers_write_the_serial_bytes(self, tmp_path, monkeypatch, reg, rate):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = [*SWEEP_BASE, "--reg", reg, "--rate", rate, "--wp", "0.5,0.5",
+                "--wr-values", "0.25,0.5,0.75"]
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"cells-{jobs}.csv"
+            code = main([*argv, "--jobs", jobs, "--out", str(out)])
+            outs.append((code, out.read_bytes()))
+        assert len(read_csv(tmp_path / "cells-1.csv")) == 1 + 9
+        assert outs[0] == outs[1]

@@ -1086,3 +1086,65 @@ class TestRatePerLearner:
         for rate in (bad, (bad, 40.0), (40.0, bad)):
             with pytest.raises(ValueError, match="rate"):
                 batch_self_play(G1, rate, 10, [0], [1], [2], [3])
+
+
+# ---------------------------------------------------------------------------
+# BatchResult.outcomes: the one conversion to Python values
+# ---------------------------------------------------------------------------
+
+
+class TestBatchOutcomes:
+    def test_outcomes_of_detected_profiles(self):
+        game = GameConfig(rounds=1, grid=4, delta=0.9)
+        profiles = np.array([
+            [(1, 1), (2, 2), (2, 2)],  # settles at t=2 on the 1/2 split
+            [(1, 3), (1, 3), (1, 3)],  # offer below threshold: P gains by offering 3
+            [(1, 1), (0, 4), (0, 4)],  # offer 0 < threshold 1: no agreement
+            [(2, 2), (2, 2), (-1, 2)],  # ends on a genuine mixture
+        ], dtype=np.int32)
+        outcomes = dynamics._detect_batch(game, profiles).outcomes()
+        assert outcomes[:3] == [
+            (True, 2, 1, 0.5, 0.5, 0.5),
+            (False, None, None, None, 0.0, 0.0),
+            (True, 2, None, None, 0.0, 0.0),
+        ]
+        assert outcomes[3][:4] == (False, None, None, None)
+        assert all(np.isnan(v) for v in outcomes[3][4:])
+        for row in outcomes:
+            assert type(row[0]) is bool
+            assert all(type(v) is float for v in row[4:])
+            assert all(v is None or type(v) is int for v in row[1:3])
+
+    @pytest.mark.parametrize("starts", [((6,), (5,), (4,), (7,)), ((1,), (1,), (3,), (1,))])
+    def test_pure_play_record_is_the_engine_outcome(self, starts):
+        pc = lcfg(G1, "P", starts[0], starts[1])
+        rc = lcfg(G1, "R", starts[2], starts[3])
+        rec = self_play(G1, pc, rc)
+        batch = batch_self_play(
+            G1, (pc.rate, rc.rate), pc.horizon,
+            *([strategy_index(G1, s)] for s in (pc.initial, rc.initial, pc.anchor, rc.anchor)),
+        )
+        assert _record_fields(rec) == batch.outcomes()[0]
+
+    @pytest.mark.parametrize("starts", [((6,), (5,), (4,), (7,)), ((1,), (1,), (3,), (1,))])
+    def test_mixed_play_record_is_the_detector_outcome(self, starts):
+        pc = lcfg(G1, "P", starts[0], starts[1], reg=2, rate=5.0)
+        rc = lcfg(G1, "R", starts[2], starts[3], reg=2, rate=5.0)
+        rec = self_play(G1, pc, rc)
+        log = [
+            [-1 if s is None else strategy_index(G1, s) for s in map(dynamics._as_pure, pair)]
+            for pair in rec.profiles
+        ]
+        outcome = dynamics._detect_batch(G1, np.array([log], dtype=np.int32)).outcomes()[0]
+        assert _record_fields(rec)[:4] == outcome[:4]
+        # the record prices the final weights themselves, NaN-free
+        assert _record_fields(rec)[4:] == _joint_payoffs(G1, *rec.profiles[-1])
+        if not np.isnan(outcome[4]):
+            assert _record_fields(rec)[4:] == pytest.approx(outcome[4:], abs=1e-12)
+
+
+def _record_fields(rec):
+    return (
+        rec.converged_at is not None, rec.converged_at, rec.ne_round,
+        rec.ne_value, rec.payoff_P, rec.payoff_R,
+    )

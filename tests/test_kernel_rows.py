@@ -1,7 +1,7 @@
 """Self-play without payoff tables.
 
 The event engine and its convergence detector read one side's kernel rows,
-computed once per opponent played (``dynamics._KernelRows``).  The dense
+computed once per opponent played (``game._KernelRows``).  The dense
 tables of ``game.payoff_matrices`` stay the oracle: every stored row must
 equal the table's column (P) or row (R) bit for bit, and the detector must
 decide as it did when it read the tables.  The in-place ``_leave_offset`` is
