@@ -5,8 +5,8 @@ follow-the-regularized-leader learning rules over its pure strategies,
 self-play dynamics with convergence detection and closed-form predictions for
 the one-round game, external-regret accounting against bin-constrained
 adversaries, and stationary-equilibrium tooling (feasibility, certificate
-construction, automaton simulation, one-shot deviation scans) for a matching
-market built on the same protocol.
+construction, one-shot deviation scans, expected match payoffs) for a
+matching market built on the same protocol.
 """
 
 from bargainlab.game import (
@@ -59,7 +59,6 @@ from bargainlab.spe import (
     FeasibilityError,
     GapResult,
     MarketParams,
-    MatchOutcome,
     MultiMarketParams,
     PayoffTarget,
     construct_certificate,
@@ -72,7 +71,6 @@ from bargainlab.spe import (
     payoff_gaps,
     prop2_check,
     sample_feasible_instance,
-    simulate_automata,
     theorem1_feasible,
     w_bounds,
     w1_lower_bound,

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -737,10 +737,7 @@ def cmd_verify_spe(settings: Settings) -> int:
         "deviation_count": len(deviations),
         "deviations": reported,
         "certificate": {
-            "u_f": cert.u_f, "u_c1": cert.u_c1, "u_c2": cert.u_c2,
-            "z_fc1": cert.z_fc1, "z_fc2": cert.z_fc2,
-            "z_c1f": cert.z_c1f, "z_c2f": cert.z_c2f,
-            "W_f": cert.W_f, "W_c1": cert.W_c1, "W_c2": cert.W_c2,
+            f.name: getattr(cert, f.name) for f in fields(cert) if f.name != "params"
         },
         "expected_payoffs": {"W_f": w_f, "W_c1": w_c1, "W_c2": w_c2},
     }

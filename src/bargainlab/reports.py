@@ -17,14 +17,6 @@ import sys
 import xml.etree.ElementTree as ET
 from typing import Iterable, Optional, Sequence
 
-__all__ = [
-    "fmt",
-    "heatmap_svg",
-    "write_csv",
-    "write_json",
-    "write_text",
-]
-
 
 def fmt(value) -> str:
     """Canonical CSV cell text: None/NaN -> empty, booleans lowercase,

@@ -12,7 +12,8 @@ module answers four questions:
   per-pairing splits and outside options (:func:`construct_certificate`),
 * whether a certificate is self-consistent (:func:`prop2_check`) and immune
   to every one-shot deviation from its two-state automaton strategies
-  (:func:`one_shot_deviation_scan`, :func:`simulate_automata`),
+  (:func:`one_shot_deviation_scan`), and what each side expects from a match
+  played by those automata (:func:`expected_match_payoffs`),
 * how far apart equally-productive players' payoffs can be pushed, both in
   the two-type market (:func:`payoff_gaps`) and in the general m-firm,
   n-type market (:func:`multi_feasible`, :func:`multi_discriminatory`).
@@ -33,35 +34,6 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-
-__all__ = [
-    "BOUNDARY_TOL",
-    "SCAN_TOL",
-    "Deviation",
-    "EquilibriumCertificate",
-    "FeasibilityError",
-    "GapResult",
-    "MarketParams",
-    "MatchOutcome",
-    "MultiMarketParams",
-    "PayoffTarget",
-    "construct_certificate",
-    "expected_match_payoffs",
-    "feasibility_violations",
-    "feasible_payoffs",
-    "multi_constraint_rhs",
-    "multi_discriminatory",
-    "multi_feasible",
-    "one_shot_deviation_scan",
-    "payoff_gaps",
-    "prop2_check",
-    "sample_feasible_instance",
-    "simulate_automata",
-    "theorem1_feasible",
-    "w_bounds",
-    "w1_lower_bound",
-    "w2_lower_bound",
-]
 
 #: Slack allowed on weak feasibility/consistency inequalities.
 BOUNDARY_TOL = 1e-12
@@ -241,6 +213,14 @@ class EquilibriumCertificate:
     W_c2: float
 
 
+def _pairings(cert: EquilibriumCertificate) -> Tuple[Tuple[float, float, float], ...]:
+    """Per pairing k = 1, 2: (z_fck, z_ckf, u_ck)."""
+    return (
+        (cert.z_fc1, cert.z_c1f, cert.u_c1),
+        (cert.z_fc2, cert.z_c2f, cert.u_c2),
+    )
+
+
 def _match_payoffs(mp: MarketParams, w1, w2) -> Tuple:
     """Steady-state match payoffs (W_f, W_c1, W_c2) at firm shares (w1, w2)."""
     return mp.p * w1 + (1.0 - mp.p) * w2, 1.0 - w1, 1.0 - w2
@@ -320,11 +300,7 @@ def prop2_check(
     if mp is None:
         mp = cert.params
     delta, tau, tol = mp.delta, mp.tau, BOUNDARY_TOL
-    pairs = (
-        (cert.z_fc1, cert.z_c1f, cert.u_c1),
-        (cert.z_fc2, cert.z_c2f, cert.u_c2),
-    )
-    for z_f, z_c, u_c in pairs:
+    for z_f, z_c, u_c in _pairings(cert):
         if not (1.0 - delta + cert.u_f - tol <= z_f <= 1.0 - u_c + tol):
             return False
         if not (1.0 - delta + u_c - tol <= z_c <= 1.0 - cert.u_f + tol):
@@ -369,72 +345,27 @@ def payoff_gaps(mp: MarketParams) -> GapResult:
 
 
 # ---------------------------------------------------------------------------
-# automaton simulation
+# expected match payoffs
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatchOutcome:
-    """Result of playing out one match on the equilibrium path."""
-
-    agreement_round: int
-    firm_share: float
-    candidate_share: float
-    first_proposer: str
-    pairing: int
-
-
-def _pair_data(
-    cert: EquilibriumCertificate, pairing: int
-) -> Tuple[float, float, float, float]:
-    """(z firm-proposing, z candidate-proposing, u_firm, u_candidate)."""
-    if pairing == 1:
-        return cert.z_fc1, cert.z_c1f, cert.u_f, cert.u_c1
-    if pairing == 2:
-        return cert.z_fc2, cert.z_c2f, cert.u_f, cert.u_c2
-    raise ValueError(f"pairing must be 1 or 2, got {pairing!r}")
-
-
-def simulate_automata(
-    cert: EquilibriumCertificate,
-    pairing: int,
-    first_proposer: str,
-) -> MatchOutcome:
-    """Play one firm/candidate match with both sides following their
-    automaton strategies, and return the realized split.
-
-    The base-state offer is exactly the responder's threshold, so the match
-    always agrees in round 1 on the proposer's certified share."""
-    z_f, z_c, _, _ = _pair_data(cert, pairing)
-    if first_proposer not in ("firm", "candidate"):
-        raise ValueError(
-            f"first_proposer must be 'firm' or 'candidate', got {first_proposer!r}"
-        )
-    firm = z_f if first_proposer == "firm" else 1.0 - z_c
-    return MatchOutcome(
-        agreement_round=1,
-        firm_share=firm,
-        candidate_share=1.0 - firm,
-        first_proposer=first_proposer,
-        pairing=pairing,
-    )
 
 
 def expected_match_payoffs(
     cert: EquilibriumCertificate,
 ) -> Tuple[float, float, float]:
-    """Steady-state expected match payoffs (firm, type 1, type 2): the
-    closed-form round-1 splits of :func:`simulate_automata`, with a fair
-    coin over who proposes first."""
-    w = {}
-    candidate = {}
-    for pairing in (1, 2):
-        a = simulate_automata(cert, pairing, "firm")
-        b = simulate_automata(cert, pairing, "candidate")
-        w[pairing] = 0.5 * (a.firm_share + b.firm_share)
-        candidate[pairing] = 0.5 * (a.candidate_share + b.candidate_share)
-    W_f, _, _ = _match_payoffs(cert.params, w[1], w[2])
-    return W_f, candidate[1], candidate[2]
+    """Steady-state expected match payoffs (firm, type 1, type 2) when both
+    sides follow their automata, with a fair coin over who proposes first.
+
+    The base-state offer is exactly the responder's threshold, so every match
+    agrees in round 1 on the proposer's certified share: the firm gets
+    ``z_fck`` when it proposes and ``1 - z_ckf`` when type k does."""
+    w, candidate = [], []
+    for z_f, z_c, _ in _pairings(cert):
+        w.append(0.5 * (z_f + (1.0 - z_c)))
+        # 1 - (1 - z_c) is the candidate's share as 1 minus the firm's; it
+        # rounds differently from z_c, and the recorded outputs keep it
+        candidate.append(0.5 * ((1.0 - z_f) + (1.0 - (1.0 - z_c))))
+    W_f, _, _ = _match_payoffs(cert.params, *w)
+    return W_f, *candidate
 
 
 # ---------------------------------------------------------------------------
@@ -458,29 +389,15 @@ class Deviation(NamedTuple):
 
 
 def _scan_offers(cert: EquilibriumCertificate, scan_grid: int) -> np.ndarray:
+    """The offer grid: ``scan_grid + 1`` even points on [0, 1] plus every
+    share, complement, threshold and reservation value, clipped to [0, 1]."""
     delta = cert.params.delta
-    breakpoints = [
-        cert.u_f,
-        cert.u_c1,
-        cert.u_c2,
-        cert.u_f / delta,
-        cert.u_c1 / delta,
-        cert.u_c2 / delta,
-        cert.z_fc1,
-        cert.z_fc2,
-        cert.z_c1f,
-        cert.z_c2f,
-        1.0 - cert.z_fc1,
-        1.0 - cert.z_fc2,
-        1.0 - cert.z_c1f,
-        1.0 - cert.z_c2f,
-        1.0 - delta + cert.u_f,
-        1.0 - delta + cert.u_c1,
-        1.0 - delta + cert.u_c2,
-        delta - cert.u_f,
-        delta - cert.u_c1,
-        delta - cert.u_c2,
-    ]
+    pairs = np.array(_pairings(cert))
+    u = np.append(cert.u_f, pairs[:, 2])
+    z = pairs[:, :2].ravel()
+    breakpoints = np.concatenate(
+        [u, u / delta, z, 1.0 - z, 1.0 - delta + u, delta - u]
+    )
     grid = np.concatenate(
         [np.linspace(0.0, 1.0, scan_grid + 1), np.clip(breakpoints, 0.0, 1.0)]
     )
@@ -516,8 +433,8 @@ def one_shot_deviation_scan(
             float(value), float(value - prescribed),
         ))
 
-    for pairing in (1, 2):
-        z_f, z_c, u_f, u_c = _pair_data(cert, pairing)
+    u_f = cert.u_f
+    for pairing, (z_f, z_c, u_c) in enumerate(_pairings(cert), start=1):
         for proposer in ("firm", "candidate"):
             responder = "candidate" if proposer == "firm" else "firm"
             z_keep = z_f if proposer == "firm" else z_c

@@ -7,6 +7,7 @@ checks exit codes, emitted files, and determinism.  Exit-code contract:
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,10 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bargainlab import cli
+from bargainlab import __version__, cli
 from bargainlab.cli import main
 from bargainlab.reports import write_csv
-from bargainlab.spe import MarketParams, feasible_payoffs
+from bargainlab.spe import MarketParams, feasible_payoffs, one_shot_deviation_scan
 
 REPLAY = [
     "--rounds", "1", "--grid", "8", "--rate", "20", "--reg", "1",
@@ -584,6 +585,62 @@ class TestVerifySpeCommand:
         assert main([*args, "--out", str(out)]) == 2
         assert "w2-upper" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestVerifySpeReportsDeviations:
+    """A certificate that fails the one-shot deviation scan exits 3, counts
+    every deviation and reports the first ``MAX_REPORTED_DEVIATIONS``; an
+    opt-out deviation has no offer on the table and reports ``null``."""
+
+    @pytest.mark.parametrize("change,count,optouts", [
+        (lambda cert: {"z_fc1": cert.u_f / 2}, 239, 0),
+        (lambda cert: {"u_c1": cert.params.delta - cert.u_f + 0.02}, 44, 4),
+    ], ids=["lowball-share", "outside-option-above-threat"])
+    def test_exit_3_and_reported_deviations(
+        self, tmp_path, monkeypatch, change, count, optouts
+    ):
+        construct, broken = cli.construct_certificate, []
+
+        def construct_broken(*args):
+            cert = construct(*args)
+            broken.append(dataclasses.replace(cert, **change(cert)))
+            return broken[-1]
+
+        monkeypatch.setattr(cli, "construct_certificate", construct_broken)
+        out = tmp_path / "v.json"
+        assert main([*TestVerifySpeCommand.ARGS, "--out", str(out)]) == 3
+        expected = one_shot_deviation_scan(*broken, scan_grid=200)
+        assert len(expected) == count
+        assert sum(dev.node == "optout" for dev in expected) == optouts
+        doc = json.loads(out.read_text())
+        assert doc["deviation_count"] == count
+        assert len(doc["deviations"]) == min(count, cli.MAX_REPORTED_DEVIATIONS)
+        assert cli.MAX_REPORTED_DEVIATIONS == 50
+        for reported, dev in zip(doc["deviations"], expected):
+            offer = None if dev.node == "optout" else dev.offer
+            assert reported == {**dev._asdict(), "offer": offer}
+
+
+def test_unwritable_output_directory_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert main([*TestVerifySpeCommand.ARGS, "--out", "v.json"]) == 2
+    assert capsys.readouterr().err == "error: output directory is not writable: .\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_console_script_entrypoint_passes_exit_codes_through(tmp_path, child_env):
+    """``bargainlab`` runs ``cli.entrypoint``, which exits with ``main``'s code."""
+    def entrypoint(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", "from bargainlab.cli import entrypoint; entrypoint()",
+             *argv], cwd=tmp_path, env=child_env, capture_output=True, text=True,
+            timeout=60,
+        )
+
+    version = entrypoint("--version")
+    assert (version.returncode, version.stdout) == (0, f"bargainlab {__version__}\n")
+    assert entrypoint("--no-such-flag").returncode == 2
 
 
 class TestOutputPathIsDirectory:

@@ -1,5 +1,6 @@
-"""Tests of the package as a whole: the names it exports, and a lint-style
-check that every module reads each name it imports."""
+"""Tests of the package as a whole: the names it exports, and lint-style
+checks that every module reads each name it imports and that the package
+reads each private function or class it defines."""
 
 import ast
 from pathlib import Path
@@ -12,7 +13,7 @@ EXPORTS = [
     "AdversarySchedule", "BatchResult", "Deviation", "EquilibriumCertificate",
     "FeasibilityError", "FeedbackVector", "G1Classification", "GameConfig",
     "GapResult", "HorizonExceededError", "LearnerConfig", "LearnerState",
-    "MarketParams", "MatchOutcome", "MixedStrategy", "MultiMarketParams", "Outcome",
+    "MarketParams", "MixedStrategy", "MultiMarketParams", "Outcome",
     "PAYOFF_TOL", "PayoffTarget", "Play", "RegretResult", "Strategy",
     "TrajectoryRecord", "__version__", "all_strategies", "batch_self_play",
     "best_responses", "classify_g1", "construct_certificate", "continuous_play",
@@ -22,20 +23,21 @@ EXPORTS = [
     "multi_constraint_rhs", "multi_discriminatory", "multi_feasible",
     "one_shot_deviation_scan", "payoff_gaps", "payoff_matrices", "play",
     "project_to_simplex", "prop2_check", "sample_feasible_instance", "self_play",
-    "simulate_automata", "step", "strategy_from_index", "strategy_index",
+    "step", "strategy_from_index", "strategy_index",
     "theorem1_feasible", "theorem5_preconditions", "w1_lower_bound", "w2_lower_bound",
     "w_bounds",
 ]
 
-MODULES = sorted(
-    path for path in Path(bargainlab.__file__).parent.glob("*.py")
+SOURCES = sorted(Path(bargainlab.__file__).parent.glob("*.py"))
+MODULES = [
+    path for path in SOURCES
     if path.name != "__init__.py"  # it imports names only to export them
-)
+]
 
 
 class TestExports:
     def test_export_list_is_the_recorded_set(self):
-        assert len(EXPORTS) == 62
+        assert len(EXPORTS) == 60
         assert sorted(bargainlab.__all__) == EXPORTS
 
     def test_every_exported_name_resolves(self):
@@ -80,3 +82,40 @@ def test_unused_import_check_flags_a_planted_import():
     source = "from __future__ import annotations\nimport os, sys\nimport json as j\n" \
              "__all__ = ['j']\nprint(sys.argv)\n"
     assert unused_imports(source) == ["line 2: os"]
+
+
+def unread_private_definitions(sources: dict) -> list:
+    """Module-level ``_private`` functions and classes of ``sources`` (file
+    name -> source) that no module reads, by name or as an attribute."""
+    defined = []
+    read = set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    node.name.startswith("_") and not node.name.endswith("__"):
+                defined.append((module, node.lineno, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module} line {line}: {name}"
+            for module, line, name in defined if name not in read]
+
+
+def test_package_reads_every_private_definition():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unread_private_definitions(sources) == []
+
+
+def test_private_definition_check_flags_planted_definitions():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _unread():\n    pass\n"
+                "class _Unread:\n    def _method(self):\n        pass\n"
+                "def __getattr__(name):\n    pass\n",
+        "b.py": "import a\na._used()\n",
+    }
+    assert unread_private_definitions(sources) == [
+        "a.py line 3: _unread", "a.py line 5: _Unread",
+    ]

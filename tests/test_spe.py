@@ -28,7 +28,6 @@ from bargainlab.spe import (
     EquilibriumCertificate,
     FeasibilityError,
     MarketParams,
-    MatchOutcome,
     MultiMarketParams,
     PayoffTarget,
     construct_certificate,
@@ -42,7 +41,6 @@ from bargainlab.spe import (
     payoff_gaps,
     prop2_check,
     sample_feasible_instance,
-    simulate_automata,
     theorem1_feasible,
     w_bounds,
     w1_lower_bound,
@@ -371,37 +369,15 @@ class TestPayoffGaps:
 
 
 # ---------------------------------------------------------------------------
-# automaton simulation
+# expected match payoffs
 # ---------------------------------------------------------------------------
 
 
 class TestSimulateAutomata:
-    def test_firm_proposes_to_c1(self):
-        cert = construct_certificate(MP, TGT)
-        out = simulate_automata(cert, pairing=1, first_proposer="firm")
-        assert out == MatchOutcome(
-            agreement_round=1,
-            firm_share=pytest.approx(41 / 120, abs=1e-12),
-            candidate_share=pytest.approx(79 / 120, abs=1e-12),
-            first_proposer="firm",
-            pairing=1,
-        )
-
-    def test_candidate_proposes_and_coin_average(self):
-        cert = construct_certificate(MP, TGT)
-        out = simulate_automata(cert, pairing=1, first_proposer="candidate")
-        assert out.agreement_round == 1
-        assert out.candidate_share == pytest.approx(91 / 120, abs=1e-12)
-        other = simulate_automata(cert, pairing=1, first_proposer="firm")
-        avg_candidate = 0.5 * (out.candidate_share + other.candidate_share)
-        assert avg_candidate == pytest.approx(1 - TGT.w1, abs=1e-12)
-
     def test_symmetric_zero_cost_averages_to_half(self):
         mp = MarketParams(delta=0.9, tau=0.0, p=0.5)
         cert = construct_certificate(mp, PayoffTarget(0.5, 0.5))
-        a = simulate_automata(cert, pairing=2, first_proposer="firm")
-        b = simulate_automata(cert, pairing=2, first_proposer="candidate")
-        assert 0.5 * (a.firm_share + b.firm_share) == pytest.approx(0.5, abs=1e-12)
+        assert expected_match_payoffs(cert)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_expected_match_payoffs_reproduce_targets(self):
         cert = construct_certificate(MP, TGT)
@@ -409,13 +385,6 @@ class TestSimulateAutomata:
         assert W_f == pytest.approx(29 / 48, abs=1e-12)
         assert W_c1 == pytest.approx(17 / 24, abs=1e-12)
         assert W_c2 == pytest.approx(1 / 12, abs=1e-12)
-
-    def test_pairing_validation(self):
-        cert = construct_certificate(MP, TGT)
-        with pytest.raises(ValueError):
-            simulate_automata(cert, pairing=3, first_proposer="firm")
-        with pytest.raises(ValueError):
-            simulate_automata(cert, pairing=1, first_proposer="nobody")
 
 
 # ---------------------------------------------------------------------------
