@@ -32,11 +32,9 @@ from bargainlab.ftrl import (
     LearnerState,
     MixedStrategy,
     Play,
-    l1_objective,
     l1_update,
     l2_update,
     make_learner,
-    project_to_simplex,
     step,
 )
 from bargainlab.dynamics import (

@@ -722,8 +722,8 @@ def cmd_verify_spe(settings: Settings) -> int:
     )
     target = PayoffTarget(w1=settings["w1"], w2=settings["w2"])
     cert = _wrap_value_error(construct_certificate, params, target, settings["z-rule"])
-    stationary = prop2_check(cert, params)
-    deviations = one_shot_deviation_scan(cert, params, scan_grid=settings["scan-grid"])
+    stationary = prop2_check(cert)
+    deviations = one_shot_deviation_scan(cert, scan_grid=settings["scan-grid"])
     w_f, w_c1, w_c2 = expected_match_payoffs(cert)
 
     reported = [

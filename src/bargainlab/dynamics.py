@@ -634,37 +634,28 @@ class AdversarySchedule:
     """A scripted opponent whose per-round values come from spaced bins.
 
     bins[k] lists the values the adversary may use in game round k+1, each
-    pair at least the declared spacing apart; plays is the full schedule,
-    one n-tuple of values per repetition of the game.
+    pair at least 1/D apart; plays is the full schedule, one n-tuple of
+    values per repetition of the game.
     """
 
     game: GameConfig
     bins: tuple[tuple[float, ...], ...]
     plays: tuple[tuple[float, ...], ...]
-    spacing: float
 
 
 def make_adversary(
     game: GameConfig,
     plays: Sequence[Sequence[float]],
     bins: Sequence[Sequence[float]] | None = None,
-    spacing: float | None = None,
 ) -> AdversarySchedule:
     """Validate and build an adversary schedule.
 
     When ``bins`` is omitted it is inferred as the distinct values used per
-    round.  ``spacing`` defaults to 1/D and may only be coarser.  Every
-    value must lie in [0, 1], every play must use bin values, and within
-    each round's bin distinct values must be at least ``spacing`` apart (up
-    to a 1e-12 slack).
+    round.  Every value must lie in [0, 1], every play must use bin values,
+    and within each round's bin distinct values must be at least 1/D apart
+    (up to a 1e-12 slack).
     """
-    n = game.rounds
-    if spacing is None:
-        spacing = 1.0 / game.grid
-    elif spacing < 1.0 / game.grid - 1e-12:
-        raise ValueError(
-            f"spacing {spacing} is finer than the grid step 1/{game.grid}"
-        )
+    n, spacing = game.rounds, 1.0 / game.grid
     plays_t = tuple(tuple(map(float, p)) for p in plays)
     if len(plays_t) == 0:
         raise ValueError("adversary schedule needs at least one play")
@@ -697,7 +688,7 @@ def make_adversary(
                     f"round {k + 1} bin values {lo} and {hi} are closer than "
                     f"the required spacing {spacing}"
                 )
-    return AdversarySchedule(game=game, bins=bins_t, plays=plays_t, spacing=spacing)
+    return AdversarySchedule(game=game, bins=bins_t, plays=plays_t)
 
 
 #: Byte budget of the kernel rows a schedule keeps, most recently used first:

@@ -123,13 +123,6 @@ def _thresholds(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, css, passes
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex:
-    the one-row case of :func:`project_rows_to_simplex`."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    return project_rows_to_simplex(v[None, :])[0]
-
-
 @dataclass(frozen=True)
 class MixedStrategy:
     """A distribution over the pure-strategy grid of one agent."""
@@ -315,12 +308,6 @@ def _next_play(state: LearnerState, reg: int) -> np.ndarray:
         raise RuntimeError("update rule needs at least one round of feedback")
     anchor = strategy_index(state.game, state.config.anchor)
     return next_plays(state.cumulative[None], anchor, state.config.rate, reg)[0]
-
-
-def l1_objective(state: LearnerState) -> np.ndarray:
-    """Cumulative utility minus the anchor handicap, per pure strategy."""
-    anchor = strategy_index(state.game, state.config.anchor)
-    return handicapped(state.cumulative[None], anchor, state.config.rate)[0]
 
 
 def l1_update(state: LearnerState) -> Strategy:

@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -105,43 +105,6 @@ class Strategy:
                 )
         # normalize numpy integers so hashing/equality never depends on dtype
         object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-
-    @classmethod
-    def from_values(
-        cls,
-        values: Iterable[float],
-        denom: int,
-        snap: str = "exact",
-    ) -> "Strategy":
-        """Build a strategy from share values in [0, 1].
-
-        ``snap`` controls off-grid values (as :func:`snap_share` decides
-        them): "exact" rejects them, "floor" / "ceil" round toward the named
-        side, "nearest" rounds half up.  Values outside [0, 1] are always
-        rejected.
-        """
-        if snap not in ("exact", "floor", "ceil", "nearest"):
-            raise ValueError(f"unknown snap mode {snap!r}")
-        entries = []
-        for v in values:
-            v = float(v)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"share {v} outside [0, 1]")
-            e, exact = snap_share(v, denom)
-            if not exact:
-                scaled = v * denom
-                if snap == "exact":
-                    lo, hi = math.floor(scaled), math.ceil(scaled)
-                    raise ValueError(
-                        f"share {v} is not a multiple of 1/{denom}; nearest "
-                        f"grid values are {lo}/{denom} and {hi}/{denom}"
-                    )
-                if snap == "floor":
-                    e = math.floor(scaled)
-                elif snap == "ceil":
-                    e = math.ceil(scaled)
-            entries.append(e)
-        return cls(tuple(entries), denom)
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -408,10 +371,8 @@ class FeedbackVector:
     owner: Owner
     values: np.ndarray
 
-    def value_of(self, s: Strategy) -> float:
+    def __getitem__(self, s: Strategy) -> float:
         return float(self.values[strategy_index(self.cfg, s)])
-
-    __getitem__ = value_of
 
     def as_dict(self) -> dict[Strategy, float]:
         return {

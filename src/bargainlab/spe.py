@@ -286,10 +286,9 @@ def construct_certificate(
     )
 
 
-def prop2_check(
-    cert: EquilibriumCertificate, mp: Optional[MarketParams] = None
-) -> bool:
-    """Verify the algebraic stationary-equilibrium conditions directly.
+def prop2_check(cert: EquilibriumCertificate) -> bool:
+    """Verify the algebraic stationary-equilibrium conditions directly, at
+    the certificate's own market ``cert.params``.
 
     True iff for every pairing the proposer shares lie in their admissible
     ranges, the outside options satisfy the mutual-threat inequalities
@@ -297,8 +296,7 @@ def prop2_check(
     ``u = tau * W`` hold with ``W`` recomputed from the shares, all within
     BOUNDARY_TOL.
     """
-    if mp is None:
-        mp = cert.params
+    mp = cert.params
     delta, tau, tol = mp.delta, mp.tau, BOUNDARY_TOL
     for z_f, z_c, u_c in _pairings(cert):
         if not (1.0 - delta + cert.u_f - tol <= z_f <= 1.0 - u_c + tol):
@@ -405,12 +403,11 @@ def _scan_offers(cert: EquilibriumCertificate, scan_grid: int) -> np.ndarray:
 
 
 def one_shot_deviation_scan(
-    cert: EquilibriumCertificate,
-    mp: Optional[MarketParams] = None,
-    scan_grid: int = 200,
+    cert: EquilibriumCertificate, scan_grid: int = 200
 ) -> List[Deviation]:
     """Scan every decision node of the automaton profile for a profitable
-    one-shot deviation (play continuing per the automata afterwards).
+    one-shot deviation (play continuing per the automata afterwards), at the
+    certificate's own market ``cert.params``.
 
     Nodes covered, for each pairing, proposer role, and state: the proposer's
     offer (over a value grid of ``scan_grid + 1`` points plus all thresholds
@@ -420,9 +417,7 @@ def one_shot_deviation_scan(
     deviation improving the deviator's payoff by more than SCAN_TOL; an empty
     list certifies the one-shot-deviation property at the scanned resolution.
     """
-    if mp is None:
-        mp = cert.params
-    delta, tol = mp.delta, SCAN_TOL
+    delta, tol = cert.params.delta, SCAN_TOL
     offers = _scan_offers(cert, scan_grid)
     deviations: List[Deviation] = []
 

@@ -36,7 +36,7 @@ from bargainlab.dynamics import (
 from bargainlab.ftrl import (
     LearnerConfig,
     make_learner,
-    project_to_simplex,
+    project_rows_to_simplex,
     step,
 )
 from bargainlab.game import (
@@ -401,8 +401,8 @@ def test_criterion_5_certificate_pipeline_1000_samples():
     for _ in range(1000):
         params, target = sample_feasible_instance(rng)
         cert = construct_certificate(params, target)
-        stationary = prop2_check(cert, params)
-        deviations = one_shot_deviation_scan(cert, params, scan_grid=200)
+        stationary = prop2_check(cert)
+        deviations = one_shot_deviation_scan(cert, scan_grid=200)
         w_f, w_c1, w_c2 = expected_match_payoffs(cert)
         expected = (
             params.p * target.w1 + (1 - params.p) * target.w2,
@@ -560,7 +560,7 @@ def test_criterion_9_unit_oracles():
         dim = int(rng.integers(1, 41))
         scale = float(rng.choice([0.1, 1.0, 10.0]))
         v = rng.normal(0.0, scale, size=dim)
-        w = project_to_simplex(v)
+        w = project_rows_to_simplex(v[None, :])[0]
         if w.min() < -1e-9 or abs(float(w.sum()) - 1.0) > 1e-9:
             kkt_failures += 1
             continue

@@ -647,7 +647,6 @@ class TestMakeAdversary:
         adv = make_adversary(self.G10, [(0.0,), (0.3,)], bins=[(0.0, 0.15, 0.3)])
         assert adv.bins == ((0.0, 0.15, 0.3),)
         assert adv.plays == ((0.0,), (0.3,))
-        assert adv.spacing == 0.1
 
     def test_spacing_violation(self):
         with pytest.raises(ValueError):
@@ -679,15 +678,6 @@ class TestMakeAdversary:
             make_adversary(self.G10, [(1.2,)])
         with pytest.raises(ValueError):
             make_adversary(self.G10, [(0.5,)], bins=[(-0.1, 0.5)])
-
-    def test_coarser_spacing_allowed_finer_rejected(self):
-        adv = make_adversary(self.G10, [(0.0,), (0.5,)], spacing=0.5)
-        assert adv.spacing == 0.5
-        with pytest.raises(ValueError):
-            make_adversary(self.G10, [(0.0,)], spacing=0.05)
-        with pytest.raises(ValueError):
-            # declared coarse spacing must actually hold within the bin
-            make_adversary(self.G10, [(0.0,), (0.2,)], spacing=0.5)
 
     def test_empty_schedule_and_wrong_arity(self):
         with pytest.raises(ValueError):

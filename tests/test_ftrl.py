@@ -21,13 +21,12 @@ from bargainlab.ftrl import (
     HorizonExceededError,
     LearnerConfig,
     MixedStrategy,
-    l1_objective,
+    handicapped,
     l1_update,
     l2_update,
     make_learner,
     next_plays,
     project_rows_to_simplex,
-    project_to_simplex,
     step,
 )
 from bargainlab.game import (
@@ -49,34 +48,37 @@ RNG = np.random.default_rng(7130)
 
 def test_projection_hand_cases():
     np.testing.assert_allclose(
-        project_to_simplex(np.array([0.4, 0.4, 0.8])), [0.2, 0.2, 0.6], atol=1e-12
+        project_rows_to_simplex(np.array([[0.4, 0.4, 0.8]]))[0], [0.2, 0.2, 0.6],
+        atol=1e-12,
     )
     np.testing.assert_allclose(
-        project_to_simplex(np.array([1.0, 5.0])), [0.0, 1.0], atol=1e-12
+        project_rows_to_simplex(np.array([[1.0, 5.0]]))[0], [0.0, 1.0], atol=1e-12
     )
     np.testing.assert_allclose(
-        project_to_simplex(np.array([-1.0, 1.0])), [0.0, 1.0], atol=1e-12
+        project_rows_to_simplex(np.array([[-1.0, 1.0]]))[0], [0.0, 1.0], atol=1e-12
     )
     np.testing.assert_allclose(
-        project_to_simplex(np.array([0.3, 0.3, 0.3])),
+        project_rows_to_simplex(np.array([[0.3, 0.3, 0.3]]))[0],
         [1 / 3, 1 / 3, 1 / 3],
         atol=1e-12,
     )
-    np.testing.assert_allclose(project_to_simplex(np.array([7.5])), [1.0], atol=0)
+    np.testing.assert_allclose(
+        project_rows_to_simplex(np.array([[7.5]]))[0], [1.0], atol=0
+    )
 
 
 def test_projection_idempotent_on_simplex():
     for _ in range(50):
         d = int(RNG.integers(1, 20))
         w = RNG.dirichlet(np.ones(d))
-        np.testing.assert_allclose(project_to_simplex(w), w, atol=1e-9)
+        np.testing.assert_allclose(project_rows_to_simplex(w[None, :])[0], w, atol=1e-9)
 
 
 def test_projection_kkt_conditions():
     for _ in range(1000):
         d = int(RNG.integers(1, 50))
         v = RNG.normal(scale=3.0, size=d)
-        w = project_to_simplex(v)
+        w = project_rows_to_simplex(v[None, :])[0]
         assert (w >= -1e-12).all()
         assert abs(w.sum() - 1.0) <= 1e-9
         support = w > 1e-12
@@ -92,7 +94,7 @@ def test_projection_beats_random_feasible_points():
     for _ in range(100):
         d = int(RNG.integers(2, 12))
         v = RNG.normal(scale=2.0, size=d)
-        w = project_to_simplex(v)
+        w = project_rows_to_simplex(v[None, :])[0]
         dw = ((w - v) ** 2).sum()
         for _ in range(20):
             z = RNG.dirichlet(np.ones(d))
@@ -186,8 +188,10 @@ def test_l1_objective_and_update_worked_example():
     game = GameConfig(rounds=1, grid=4, delta=0.9)
     state = make_learner(game, _lcfg())
     step(state, Strategy((2,), 4))
+    anchor = strategy_index(game, state.config.anchor)
     np.testing.assert_allclose(
-        l1_objective(state), [0.3, 0.3, 0.3, 0.0, -0.2], atol=1e-12
+        handicapped(state.cumulative[None], anchor, state.config.rate)[0],
+        [0.3, 0.3, 0.3, 0.0, -0.2], atol=1e-12,
     )
     assert l1_update(state) == Strategy((2,), 4)  # largest of the tied trio
 

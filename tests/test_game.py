@@ -70,20 +70,6 @@ def test_strategy_validation():
         Strategy((1,), 0)
 
 
-def test_strategy_from_values_snapping():
-    assert Strategy.from_values((0.25,), 4) == Strategy((1,), 4)
-    with pytest.raises(ValueError):
-        Strategy.from_values((0.3,), 4)  # off-grid, exact mode rejects
-    assert Strategy.from_values((0.3,), 4, snap="floor") == Strategy((1,), 4)
-    assert Strategy.from_values((0.3,), 4, snap="ceil") == Strategy((2,), 4)
-    # 0.3*4 = 1.2 -> nearest is 1
-    assert Strategy.from_values((0.3,), 4, snap="nearest") == Strategy((1,), 4)
-    with pytest.raises(ValueError):
-        Strategy.from_values((1.25,), 4, snap="floor")  # outside [0, 1]
-    with pytest.raises(ValueError):
-        Strategy.from_values((0.3,), 4, snap="bogus")
-
-
 def test_strategy_indexing_roundtrip():
     cfg = GameConfig(rounds=2, grid=3, delta=0.5)
     seen = set()

@@ -395,19 +395,19 @@ class TestSimulateAutomata:
 class TestOneShotDeviationScan:
     def test_worked_instance_is_clean(self):
         cert = construct_certificate(MP, TGT)
-        assert one_shot_deviation_scan(cert, MP, scan_grid=200) == []
+        assert one_shot_deviation_scan(cert, scan_grid=200) == []
 
     def test_rubinstein_like_sanity(self):
         mp = MarketParams(delta=0.99, tau=0.0, p=0.5)
         cert = construct_certificate(mp, PayoffTarget(0.5, 0.5))
-        assert one_shot_deviation_scan(cert, mp, scan_grid=200) == []
+        assert one_shot_deviation_scan(cert, scan_grid=200) == []
 
     def test_overgreedy_share_triggers_response_deviation(self):
         cert = construct_certificate(MP, TGT)
         broken = dataclasses.replace(
             cert, z_fc1=1 - cert.u_c1 + 0.01, z_c1f=1 + (1 - cert.u_c1 + 0.01) - 2 * TGT.w1
         )
-        devs = one_shot_deviation_scan(broken, MP, scan_grid=200)
+        devs = one_shot_deviation_scan(broken, scan_grid=200)
         assert devs, "raising z_fc1 above 1-u_c1 must surface a deviation"
         assert any(
             d.node == "response" and d.agent == "candidate" and d.state == "base"
@@ -422,14 +422,14 @@ class TestOneShotDeviationScan:
         broken = dataclasses.replace(
             cert, z_fc1=z_bad, z_c1f=1 + z_bad - 2 * TGT.w1
         )
-        devs = one_shot_deviation_scan(broken, MP, scan_grid=200)
+        devs = one_shot_deviation_scan(broken, scan_grid=200)
         assert any(d.node == "response" for d in devs)
 
     def test_gain_fields_are_positive_and_sorted_inputs_scanned(self):
         cert = construct_certificate(MP, TGT)
         broken = dataclasses.replace(cert, z_fc2=cert.z_fc2 + 0.03,
                                      z_c2f=cert.z_c2f + 0.03)
-        devs = one_shot_deviation_scan(broken, MP, scan_grid=200)
+        devs = one_shot_deviation_scan(broken, scan_grid=200)
         for d in devs:
             assert d.gain > 1e-9
             assert d.deviation_value > d.prescribed_value
@@ -439,7 +439,7 @@ class TestOneShotDeviationScan:
         for _ in range(40):
             mp, tgt = sample_feasible_instance(rng)
             cert = construct_certificate(mp, tgt)
-            assert one_shot_deviation_scan(cert, mp, scan_grid=200) == []
+            assert one_shot_deviation_scan(cert, scan_grid=200) == []
             W_f, W_c1, W_c2 = expected_match_payoffs(cert)
             assert W_f == pytest.approx(
                 mp.p * tgt.w1 + (1 - mp.p) * tgt.w2, abs=1e-9
@@ -567,7 +567,7 @@ def test_high_outside_option_triggers_responder_walk_away():
     # candidate facing the firm and (with u_f above delta - u_c1) vice versa
     cert = construct_certificate(MP, TGT)
     broken = dataclasses.replace(cert, u_c1=MP.delta - cert.u_f + 0.02)
-    devs = one_shot_deviation_scan(broken, MP, scan_grid=200)
+    devs = one_shot_deviation_scan(broken, scan_grid=200)
     walk = {(d.agent, d.state) for d in devs if d.node == "optout"}
     assert walk == {(agent, state) for agent in ("firm", "candidate")
                     for state in ("base", "threat")}
@@ -612,7 +612,7 @@ def test_scan_reports_the_firms_proposal_deviation():
     cert = construct_certificate(mp, PayoffTarget(0.5, 0.5))
     broken = dataclasses.replace(cert, z_fc1=cert.u_f / 2)
     assert broken.u_f - broken.z_fc1 == pytest.approx(0.1, abs=1e-15)
-    devs = [d for d in one_shot_deviation_scan(broken, mp) if d.node == "proposal"]
+    devs = [d for d in one_shot_deviation_scan(broken) if d.node == "proposal"]
     assert devs
     for d in devs:
         assert (d.pairing, d.state, d.proposer, d.agent, d.action) == (
@@ -625,6 +625,30 @@ def test_scan_reports_the_firms_proposal_deviation():
         o for o in _scan_offers(broken, 200).tolist() if o < threshold
     ]
 
+
+
+def test_scan_offers_hold_the_thresholds_at_the_certificates_own_delta():
+    """On sampled markets (delta drawn from [0.5, 0.97]), the offer grid
+    holds every breakpoint at the certificate's own delta, clipped to
+    [0, 1]: u / delta, 1 - delta + u and delta - u for each outside option
+    u, and z and 1 - z for each of the four proposer shares."""
+    rng = np.random.default_rng(30)
+    deltas = set()
+    for _ in range(50):
+        mp, tgt = sample_feasible_instance(rng)
+        cert = construct_certificate(mp, tgt)
+        delta = cert.params.delta
+        deltas.add(delta)
+        grid = set(_scan_offers(cert, 50).tolist())
+        us = (cert.u_f, cert.u_c1, cert.u_c2)
+        zs = (cert.z_fc1, cert.z_c1f, cert.z_fc2, cert.z_c2f)
+        breakpoints = [
+            *(u / delta for u in us), *(1.0 - delta + u for u in us),
+            *(delta - u for u in us), *zs, *(1.0 - z for z in zs),
+        ]
+        missing = [b for b in breakpoints if min(max(b, 0.0), 1.0) not in grid]
+        assert missing == [], (mp, tgt)
+    assert len(deltas) == 50 and 0.9 not in deltas
 
 @st.composite
 def _region_markets(draw):
@@ -664,7 +688,7 @@ def test_array_region_matches_the_scalar_pipeline(case):
             assert all(np.isnan(W))
             continue
         cert = construct_certificate(mp, target)
-        assert prop2_check(cert, mp)
+        assert prop2_check(cert)
         assert [x.hex() for x in W] == [
             x.hex() for x in (cert.W_f, cert.W_c1, cert.W_c2)
         ]
@@ -689,7 +713,7 @@ def test_deviation_scan_of_broken_certificates_matches_recorded_digest():
             name: getattr(cert, name) + rng.uniform(-0.3, 0.3)
             for name in SHARE_FIELDS
         })
-        scans.append(one_shot_deviation_scan(broken, mp, scan_grid=50))
+        scans.append(one_shot_deviation_scan(broken, scan_grid=50))
     assert {d.node for scan in scans for d in scan} == {"proposal", "response", "optout"}
     digest = hashlib.sha256(repr(scans).encode()).hexdigest()
     assert digest == BROKEN_SCANS_SHA256
